@@ -27,9 +27,9 @@ Run as a script to emit machine-readable results::
     PYTHONPATH=src python benchmarks/bench_ballcache.py \
         --localities 1 2 3 --out BENCH_ballcache.json
 
-``--check`` exits non-zero unless scoped beats wholesale, parallel rows
-stay byte-identical to serial, and CSR grid extraction clears its
-speedup floor — the CI benchmark smoke gate.
+``--check`` exits non-zero unless scoped beats wholesale, rows stay
+byte-identical across passes and on a 2-worker campaign run, and CSR
+grid extraction clears its speedup floor — the CI benchmark smoke gate.
 """
 
 import argparse
@@ -40,9 +40,10 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_tournament import sweep_specs  # noqa: E402
+from bench_tournament import serial_pass, sweep_specs  # noqa: E402
 
-from repro.analysis.executor import ParallelSweep  # noqa: E402
+from repro import api  # noqa: E402
+from repro.analysis.campaign import CampaignSpec  # noqa: E402
 from repro.analysis.tables import render_table  # noqa: E402
 from repro.families.grids import SimpleGrid, ToroidalGrid  # noqa: E402
 from repro.families.ktree import deterministic_ktree  # noqa: E402
@@ -112,8 +113,8 @@ def run_portfolio(policy, localities, passes=2):
     """Run the full portfolio ``passes`` times under ``policy``.
 
     Returns per-pass cache profiles, the aggregate, and whether every
-    pass (and a 2-worker parallel run) produced rows identical to the
-    first serial pass.
+    pass (and a 2-worker campaign run on a throwaway store) produced rows
+    identical to the first serial pass.
     """
     previous = set_invalidation_policy(policy)
     try:
@@ -124,7 +125,7 @@ def run_portfolio(policy, localities, passes=2):
         pass_profiles = []
         before = BallCache.global_stats()
         for _ in range(passes):
-            rows = ParallelSweep(1).run(specs)
+            rows = serial_pass(specs)
             after = BallCache.global_stats()
             pass_profiles.append(_delta(after, before))
             before = after
@@ -132,8 +133,10 @@ def run_portfolio(policy, localities, passes=2):
                 baseline_rows = rows
             else:
                 identical = identical and rows == baseline_rows
-        parallel_rows = ParallelSweep(2).run(specs)
-        identical = identical and parallel_rows == baseline_rows
+        pooled = api.SubmitRequest(
+            spec=CampaignSpec(localities=tuple(localities)), workers=2
+        )
+        identical = identical and api.run_tournament(pooled) == baseline_rows
         aggregate = _delta(before, {k: 0 for k in before})
         return {
             "passes": pass_profiles,
@@ -160,7 +163,7 @@ def run_families(policy, localities):
         for family, specs in sorted(by_family.items()):
             BallCache.reset()
             before = BallCache.global_stats()
-            ParallelSweep(1).run(specs)
+            serial_pass(specs)
             profiles[family] = _delta(BallCache.global_stats(), before)
         return profiles
     finally:
@@ -301,7 +304,7 @@ def check(report, min_csr_speedup=None):
             f"wholesale {wholesale['hit_rate']:.1%}"
         )
     if not report["rows_identical_to_serial"]:
-        failures.append("rows diverged between passes or from parallel run")
+        failures.append("rows diverged between passes or from 2-worker run")
     dyn_scoped = report["dynamic_microbench"]["scoped"]
     dyn_wholesale = report["dynamic_microbench"]["wholesale"]
     if dyn_scoped["hit_rate"] <= dyn_wholesale["hit_rate"]:

@@ -3,33 +3,30 @@
 Also a useful regression net: any change weakening an adversary or
 super-powering a victim breaks the sweep assertion immediately.
 
-Run as a script to benchmark the parallel executor and the
+Run as a script to benchmark the campaign engine's worker pool and the
 neighborhood-ball cache, emitting machine-readable results::
 
     PYTHONPATH=src python benchmarks/bench_tournament.py \
         --localities 1 2 3 --workers 1 2 4 --out BENCH_tournament.json
 
-The benchmark fans the full default portfolio at every requested
-locality through one :class:`~repro.analysis.executor.ParallelSweep`
-(48 games for three localities), so worker pools have enough
-independent games to balance.  The JSON records serial wall-clock,
-per-worker-count wall-clock and speedup, ball-cache hit rates — both
-the cold first pass (with per-reveal query/hit breakdowns) and the warm
-whole-session aggregate — and whether every parallel sweep returned
-byte-identical rows to the serial one (it must).  Reported speedup is bounded by the host's core count —
-on a single-core container the parallel columns measure pure pool
-overhead.
+A serial pass plays the full default portfolio at every requested
+locality inline (48 games for three localities) and profiles the
+ball cache — both the cold first pass (with per-reveal query/hit
+breakdowns) and the warm whole-session aggregate — and a cold serial
+sweep per traversal backend records the ``dict``/``csr`` kernel
+trade-off.
 
 The ``campaign_scaling`` section exercises the supervised worker pool
 (chunked leases, warm forkserver workers, shared ball segment) at each
 worker count, recording per-leg wall-clock, speedup over the serial
 leg, store-index equality, a degenerate ``chunk_size=1`` leg, and the
-scheduling configuration the numbers were taken under.  ``--check``
-turns the report into a gate: rows must match serial, phase coverage
-must clear :data:`MIN_PHASE_COVERAGE`, the parent's ack-drain share
-must stay under :data:`MAX_ACK_DRAIN_SHARE`, and — only on hosts with
-at least two cores, where parallelism is physically possible — the
-2-worker leg must beat serial.
+scheduling configuration the numbers were taken under.  Reported
+speedup is bounded by the host's core count.  ``--check`` turns the
+report into a gate: rows must match serial, phase coverage must clear
+:data:`MIN_PHASE_COVERAGE`, the parent's ack-drain share must stay
+under :data:`MAX_ACK_DRAIN_SHARE`, and — only on hosts with at least
+two cores, where parallelism is physically possible — the 2-worker leg
+must beat serial.
 """
 
 import argparse
@@ -40,32 +37,30 @@ import time
 
 import pytest
 
-from repro.analysis.executor import GameSpec, ParallelSweep
+from repro import api
+from repro.analysis.campaign import CampaignSpec
+from repro.analysis.executor import play_spec
 from repro.analysis.tables import render_table
-from repro.analysis.tournament import (
-    FIXED_VICTIM,
-    FixedVictimGame,
-    clean_sweep,
-    default_adversaries,
-    default_victims,
-    run_tournament,
-)
 from repro.analysis.worker_pool import (
     DEFAULT_MAX_CHUNK,
     pool_start_context,
-    shutdown_warm_pool,
     warm_pool_enabled,
 )
 from repro.graphs.csr import get_graph_backend, set_graph_backend
 from repro.graphs.shared_pool import shared_balls_enabled
 from repro.graphs.traversal import BallCache
 from repro.observability.metrics import get_registry
-from repro.robustness.supervisor import GamePolicy
+
+
+def tournament_rows(locality, workers=1):
+    """The pre-baked tournament at ``locality``, through the typed API."""
+    spec = CampaignSpec.tournament(locality=locality)
+    return api.run_tournament(api.SubmitRequest(spec=spec, workers=workers))
 
 
 @pytest.mark.parametrize("locality", (1, 2))
 def test_clean_sweep(locality):
-    rows = run_tournament(locality=locality)
+    rows = tournament_rows(locality)
     print()
     print(f"Tournament at T={locality}:")
     print(render_table(
@@ -73,41 +68,39 @@ def test_clean_sweep(locality):
         [[r.adversary, r.victim, "defeated" if r.won else "SURVIVED"]
          for r in rows],
     ))
-    assert clean_sweep(rows), [r for r in rows if not r.won]
+    assert api.clean_sweep(rows), [r for r in rows if not r.won]
     # 5 sweeping adversaries x 3 victims + 1 fixed-victim reduction game.
     assert len(rows) == 16
 
 
 def test_parallel_sweep_matches_serial():
-    serial = run_tournament(locality=1, workers=1)
-    parallel = run_tournament(locality=1, workers=2)
-    assert parallel == serial
+    assert tournament_rows(1, workers=2) == tournament_rows(1, workers=1)
 
 
 def test_bench_tournament(benchmark):
-    rows = benchmark(lambda: run_tournament(locality=1))
-    assert clean_sweep(rows)
+    rows = benchmark(lambda: tournament_rows(1))
+    assert api.clean_sweep(rows)
 
 
-def sweep_specs(localities, policy=None):
+def sweep_specs(localities):
     """The full default portfolio at every locality, as picklable specs."""
-    policy = policy if policy is not None else GamePolicy(timeout=30.0)
-    specs = []
-    for locality in localities:
-        for name, entry in default_adversaries(locality).items():
-            if isinstance(entry, FixedVictimGame):
-                victims = [FIXED_VICTIM]
-            else:
-                victims = list(default_victims())
-            for victim in victims:
-                specs.append(GameSpec(name, victim, locality, policy))
-    return specs
+    return CampaignSpec(localities=tuple(localities)).expand()
 
 
-def _timed_sweep(specs, workers):
-    start = time.perf_counter()
-    rows = ParallelSweep(workers).run(specs)
-    return rows, time.perf_counter() - start
+def serial_pass(specs):
+    """Play every spec inline; returns rows in spec order.
+
+    Each game plays under its own scoped registry, so its metrics
+    snapshot is folded into the ambient registry here, as the campaign
+    engine does — :meth:`BallCache.global_stats` reads those counters.
+    """
+    registry = get_registry()
+    rows = []
+    for spec in specs:
+        outcome = play_spec(spec)
+        registry.merge(outcome.metrics)
+        rows.append(outcome.row)
+    return rows
 
 
 def run_backend_comparison(specs, repeats=3):
@@ -128,7 +121,9 @@ def run_backend_comparison(specs, repeats=3):
             rows = None
             for _ in range(repeats):
                 BallCache.reset()
-                rows, seconds = _timed_sweep(specs, 1)
+                start = time.perf_counter()
+                rows = serial_pass(specs)
+                seconds = time.perf_counter() - start
                 best = seconds if best is None else min(best, seconds)
         finally:
             set_graph_backend(previous)
@@ -287,15 +282,17 @@ def run_phase_attribution(workers=2, chunk_size=None):
 
 def run_bench(localities=(1, 2, 3), worker_counts=(1, 2, 4), repeats=3,
               chunk_size=None):
-    """Measure serial vs parallel wall-clock and cache hit rates.
+    """Profile the ball cache on a cold serial pass and over the warm
+    passes after it, then measure the backends, the campaign pool's
+    scaling, and phase attribution.
 
-    Each configuration is run ``repeats`` times and the best (minimum)
-    wall-clock kept, the usual way to suppress scheduler noise.
+    Each timed configuration is run ``repeats`` times and the best
+    (minimum) wall-clock kept, the usual way to suppress scheduler noise.
     """
     specs = sweep_specs(localities)
     BallCache.reset()
     reveals_before = get_registry().counter("reveals_total").value
-    serial_rows, _ = _timed_sweep(specs, 1)  # warm-up + cache profile
+    serial_rows = serial_pass(specs)  # cold pass: the cache profile
     cache = BallCache.global_stats()
     reveals = get_registry().counter("reveals_total").value - reveals_before
     queries = cache["hits"] + cache["misses"]
@@ -305,18 +302,8 @@ def run_bench(localities=(1, 2, 3), worker_counts=(1, 2, 4), repeats=3,
         "hits_per_reveal": cache["hits"] / reveals if reveals else 0.0,
         "misses_per_reveal": cache["misses"] / reveals if reveals else 0.0,
     }
-
-    results = {}
-    identical = True
-    for workers in worker_counts:
-        best = None
-        for _ in range(repeats):
-            rows, seconds = _timed_sweep(specs, workers)
-            identical = identical and rows == serial_rows
-            best = seconds if best is None else min(best, seconds)
-        results[workers] = best
-    if 1 not in results:
-        results[1] = min(_timed_sweep(specs, 1)[1] for _ in range(repeats))
+    for _ in range(repeats):
+        serial_pass(specs)  # warm passes: the whole-session profile
     session_cache = BallCache.global_stats()
     backends = run_backend_comparison(specs, repeats=repeats)
     scaling = run_campaign_scaling(
@@ -324,29 +311,19 @@ def run_bench(localities=(1, 2, 3), worker_counts=(1, 2, 4), repeats=3,
     )
     phases = run_phase_attribution(workers=2, chunk_size=chunk_size)
 
-    report = {
-        "experiment": "tournament-parallel-executor",
+    return {
+        "experiment": "tournament",
         "localities": list(localities),
         "games": len(serial_rows),
         "repeats": repeats,
         "graph_backend": get_graph_backend(),
         "backends": backends,
-        "serial_seconds": results[1],
-        "workers": {
-            str(workers): {
-                "seconds": seconds,
-                "speedup": results[1] / seconds if seconds else None,
-            }
-            for workers, seconds in sorted(results.items())
-        },
-        "rows_identical_to_serial": identical,
-        "clean_sweep": clean_sweep(serial_rows),
+        "clean_sweep": api.clean_sweep(serial_rows),
         "ball_cache": cache,
         "ball_cache_session": session_cache,
         "campaign_scaling": scaling,
         "phase_attribution": phases,
     }
-    return report
 
 
 def check_report(report):
@@ -357,8 +334,6 @@ def check_report(report):
     physically possible (``os.cpu_count() >= 2``).
     """
     failures = []
-    if not report["rows_identical_to_serial"]:
-        failures.append("executor parallel rows diverged from serial")
     scaling = report["campaign_scaling"]
     if not scaling["rows_identical_to_serial"]:
         failures.append("campaign pool rows diverged from serial")
@@ -418,11 +393,6 @@ def main(argv=None):
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    print(render_table(
-        ["workers", "seconds", "speedup"],
-        [[w, f"{v['seconds']:.3f}", f"{v['speedup']:.2f}x"]
-         for w, v in sorted(report["workers"].items(), key=lambda kv: int(kv[0]))],
-    ))
     hit = report["ball_cache"]
     print(f"ball cache (cold pass): {hit['hits']}/{hit['hits'] + hit['misses']} "
           f"hits ({hit['hit_rate']:.0%}), "
@@ -432,7 +402,6 @@ def main(argv=None):
     print(f"ball cache (whole session): {session['hit_rate']:.0%} hit rate, "
           f"{session['evictions']} evictions, "
           f"{session['full_flushes']} full flushes")
-    print(f"rows identical to serial: {report['rows_identical_to_serial']}")
     backends = report["backends"]
     cold = backends["cold_serial_seconds"]
     print(f"cold serial sweep by backend: dict={cold['dict']:.3f}s "

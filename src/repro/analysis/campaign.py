@@ -1,9 +1,9 @@
 """Campaign engine: declarative experiment campaigns over a sharded
 work-queue scheduler with content-addressed, resumable progress.
 
-``run_tournament()`` plays one hardcoded cartesian product.  A
-*campaign* is the open-ended generalization the ROADMAP's scale goal
-needs: a declarative spec — adversaries (with instance-size parameters),
+This is the repo's one execution engine: every game — the pre-baked
+tournament included — is played through it.  A *campaign* is a
+declarative spec — adversaries (with instance-size parameters),
 victims, locality ranges, step policies — loadable from JSON/TOML or
 built in code, expanded deterministically into
 :class:`~repro.analysis.executor.GameSpec` work items and drained by a
@@ -51,9 +51,10 @@ counts ``campaign_games_played`` / ``campaign_games_deduped`` /
 ``campaign_game_retries`` / ``campaign_game_errors`` (plus the pool's
 ``campaign_worker_restarts`` / ``campaign_lease_expirations`` /
 ``campaign_games_requeued`` / ``campaign_games_quarantined`` /
-``campaign_pool_degradations``) in the metrics registry; worker metric
-snapshots fold into the parent exactly as in
-:class:`~repro.analysis.executor.ParallelSweep`.
+``campaign_pool_degradations``) in the metrics registry.  Every game's
+metric snapshot (:class:`~repro.analysis.executor.WorkerResult`) is
+folded into the caller's registry on both the serial and the pooled
+path, so the totals do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -75,12 +76,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis.executor import (
-    GameSpec,
-    WorkerResult,
-    play_spec,
-    resolve_workers,
-)
+from repro.analysis.executor import GameSpec, WorkerResult, play_spec
 from repro.analysis.store import (
     HASH_FIELD,
     QUARANTINE_CAUSE,
@@ -241,7 +237,7 @@ def payload_of(spec: GameSpec) -> Dict[str, Any]:
 
     Includes everything that determines the game's outcome — adversary
     name + params, victim, locality, step budget — and excludes run
-    plumbing (wall-clock timeout, worker count, journal/trace paths);
+    plumbing (wall-clock timeout, worker count, trace path);
     see :mod:`repro.analysis.store` for the rationale.
     """
     return {
@@ -356,8 +352,9 @@ class CampaignSpec:
     def tournament(
         cls, locality: int = 1, include_faulty: bool = False
     ) -> "CampaignSpec":
-        """The pre-baked campaign ``run_tournament()`` is a thin wrapper
-        over: the default portfolios at one locality."""
+        """The pre-baked tournament: the default portfolios at one
+        locality (what ``repro tournament`` and
+        :func:`repro.api.run_tournament` submit)."""
         return cls(
             name=f"tournament(T={locality})",
             adversaries=_resolve_adversaries(None),
@@ -382,11 +379,7 @@ class CampaignSpec:
         return GamePolicy(step_budget=self.step_budget, timeout=self.timeout)
 
     # -- expansion ------------------------------------------------------
-    def expand(
-        self,
-        journal_path: Optional[str] = None,
-        trace_path: Optional[str] = None,
-    ) -> List[GameSpec]:
+    def expand(self, trace_path: Optional[str] = None) -> List[GameSpec]:
         """The campaign's full work list, in deterministic order."""
         policy = self.policy()
         specs: List[GameSpec] = []
@@ -403,7 +396,6 @@ class CampaignSpec:
                             victim=victim,
                             locality=locality,
                             policy=policy,
-                            journal_path=journal_path,
                             trace_path=trace_path,
                             params=ref.params,
                         )
@@ -735,6 +727,7 @@ class CampaignScheduler:
     ) -> Tuple[Dict[str, Dict[str, Any]], List[Dict[str, Any]]]:
         rows: Dict[str, Dict[str, Any]] = {}
         errors: List[Dict[str, Any]] = []
+        registry = get_registry()
         total = len(work)
         last_live = 0.0
         for digest, spec in work:
@@ -744,6 +737,9 @@ class CampaignScheduler:
             except Exception as exc:
                 errors.append(_error_entry(digest, spec, repr(exc)))
             else:
+                # The game played under its own scoped registry; fold its
+                # snapshot in, as the pool does with every chunk ack.
+                registry.merge(outcome.metrics)
                 row = _store_row(outcome, digest)
                 self.store.add(row)
                 rows[digest] = row
@@ -888,7 +884,7 @@ def run_campaign(
             ))
         scheduler = CampaignScheduler(
             store,
-            workers=resolve_workers(workers),
+            workers=1 if workers is None else workers,
             retries=retries,
             max_worker_restarts=max_worker_restarts,
             poison_threshold=poison_threshold,
@@ -1086,7 +1082,7 @@ def run_threshold_search(
     started = time.perf_counter()
     scheduler = CampaignScheduler(
         store,
-        workers=resolve_workers(workers),
+        workers=1 if workers is None else workers,
         retries=retries,
         max_worker_restarts=max_worker_restarts,
         poison_threshold=poison_threshold,

@@ -1,83 +1,54 @@
-"""Process-parallel tournament execution.
+"""One game as a picklable unit of work.
 
-``run_tournament`` plays the adversary×victim rectangle sequentially;
-this module fans the same games out over a ``multiprocessing`` worker
-pool.  The unit of distribution is a :class:`GameSpec` — a *picklable
-description* of one game (adversary name, victim name, locality,
-policy), never a live adversary or algorithm object.  Each worker
-resolves the names through the factory registries
+The campaign engine (:mod:`repro.analysis.campaign`) distributes games
+over its supervised worker pool (:mod:`repro.analysis.worker_pool`) or
+plays them inline; either way the unit is a :class:`GameSpec` — a
+*picklable description* of one game (adversary name, victim name,
+locality, policy), never a live adversary or algorithm object.
+:func:`play_spec` resolves the names through the factory registries
 (:mod:`repro.registry` — builtins plus anything third-party code
-registered before the pool forked), plays the game inside the usual
-:class:`~repro.robustness.supervisor.SupervisedGame` boundary, and ships
-the finished :class:`~repro.analysis.tournament.TournamentRow` back.
+registered before the workers started), plays the game inside the usual
+:class:`~repro.robustness.supervisor.SupervisedGame` boundary, and
+returns the finished :class:`~repro.analysis.tournament.TournamentRow`.
 
 Guarantees:
 
-* **Deterministic row order** — specs are enumerated in the serial
-  sweep's order and results are reassembled by index, so a parallel
-  sweep returns byte-identical rows to the serial one.
-* **Per-game policies in every worker** — the worker process runs the
-  game under the spec's :class:`~repro.robustness.supervisor.GamePolicy`;
-  pool workers execute on their process's main thread, so the preemptive
-  ``SIGALRM`` watchdog works exactly as in serial runs.
-* **Crash-safe journaling without lock contention** — each worker
-  appends finished rows to its own journal shard
-  (``<journal>.shard-<pid>``); the parent concatenates the shards into
-  the main journal (:meth:`~repro.robustness.journal.SweepJournal.merge_shards`)
-  when the pool drains, and again *before* computing the resume set, so
-  rows that reached only a shard before a kill still count as done.
+* **Per-game policies wherever the game runs** — the game plays under
+  the spec's :class:`~repro.robustness.supervisor.GamePolicy`; pool
+  workers and the CLI play on their process's main thread, where the
+  preemptive ``SIGALRM`` watchdog works.
 * **Metrics survive the process boundary** — each game plays under a
   fresh :func:`~repro.observability.metrics.scoped_registry`, and the
-  worker ships the registry snapshot back alongside the row
-  (:class:`WorkerResult`).  The parent folds every snapshot into its
+  registry snapshot travels back alongside the row
+  (:class:`WorkerResult`).  The caller folds every snapshot into its
   ambient registry; because
   :meth:`~repro.observability.metrics.MetricsRegistry.merge` is
-  associative and commutative, the folded totals equal a serial run's.
-  One caveat: the ball cache pools balls per *process* (see
-  ``docs/performance.md``), so while the query total
+  associative and commutative, the folded totals are the same however
+  the games were partitioned.  One caveat: the ball cache pools balls
+  per *process* (see ``docs/performance.md``), so while the query total
   (``ball_cache_hits + ball_cache_misses``) and every simulation counter
   are partition-independent, the hit/miss *split* — and the
-  eviction/flush counters that ride along the same snapshots — depend on
-  which worker played which games.
-  Traced sweeps (``GameSpec.trace_path``) likewise write per-worker
-  trace shards that the caller merges when the pool drains.
-
-Workers are forked where the platform allows it (Linux/macOS with the
-``fork`` start method); ``spawn`` platforms work too since every spec
-field and the worker function are importable top-level objects.
+  eviction/flush counters that ride along the same snapshots — depend
+  on which process played which games.
+* **Traces shard per process** — with ``GameSpec.trace_path`` set (and
+  no tracer already active), records go to this process's shard file,
+  which the campaign merges into the main trace when the run drains.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
-from repro.observability.metrics import get_registry, scoped_registry
+from repro.observability.metrics import scoped_registry
 from repro.observability.trace import TRACER, JsonlTraceRecorder, shard_path
-from repro.robustness.journal import SweepJournal
 from repro.robustness.supervisor import GamePolicy, SupervisedGame
-
-#: Environment knob for the default worker count (used by CI to push the
-#: whole default-portfolio test traffic through the parallel path).
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-
-def resolve_workers(workers: Optional[int]) -> int:
-    """The effective worker count: explicit argument, else the
-    :data:`REPRO_WORKERS <WORKERS_ENV_VAR>` environment variable, else 1
-    (serial)."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A picklable description of one tournament/campaign game.
+    """A picklable description of one campaign game.
 
     ``adversary`` and ``victim`` are registry names
     (:mod:`repro.registry`); ``victim`` is
@@ -87,18 +58,12 @@ class GameSpec:
     arguments as a sorted, hashable ``((key, value), ...)`` tuple —
     campaign specs use it to sweep instance-size knobs (``k``, ``side``,
     ``length``) without registering a name per configuration.
-
-    ``include_faulty`` is kept for spec compatibility; victims resolve
-    through the registry (which always knows the fault-injection
-    family), so the flag no longer gates the lookup.
     """
 
     adversary: str
     victim: str
     locality: int
     policy: GamePolicy
-    include_faulty: bool = False
-    journal_path: Optional[str] = None
     trace_path: Optional[str] = None
     params: tuple = ()
 
@@ -116,18 +81,16 @@ class WorkerResult:
 def play_spec(spec: GameSpec) -> WorkerResult:
     """Play one game described by ``spec``; returns a :class:`WorkerResult`.
 
-    Runs inside a worker process (also callable inline, which is how the
-    serial path and the tests exercise it).  Adversary and victim are
-    resolved by name through :mod:`repro.registry`, so anything
-    registered — builtin or third-party — can cross the process
-    boundary; only raw callables (custom ``victims=``/``adversaries=``
-    dicts passed to ``run_tournament``) cannot, and stay on the serial
-    path there.
+    Runs inside a pool worker or inline (the campaign's serial path and
+    the tests).  Adversary and victim are resolved by name through
+    :mod:`repro.registry`, so anything registered — builtin or
+    third-party — can cross the process boundary.
 
     The game plays under a fresh scoped metrics registry whose snapshot
-    is returned with the row.  When ``spec.trace_path`` is set (and no
-    tracer is already active in this process), trace records go to this
-    process's shard file for the caller to merge.
+    is returned with the row; callers fold it into their own registry.
+    When ``spec.trace_path`` is set (and no tracer is already active in
+    this process), trace records go to this process's shard file for the
+    caller to merge.
     """
     from repro.analysis.tournament import _row_from_result
     from repro.registry import (
@@ -171,96 +134,4 @@ def play_spec(spec: GameSpec) -> WorkerResult:
     finally:
         if activated:
             TRACER.deactivate()
-    if spec.journal_path is not None:
-        from repro.analysis.tournament import JOURNAL_KEY_FIELDS
-
-        journal = SweepJournal(spec.journal_path, JOURNAL_KEY_FIELDS)
-        journal.shard(os.getpid()).append(asdict(row))
     return WorkerResult(row=row, metrics=snapshot)
-
-
-def _pool_context():
-    """Prefer ``fork`` (no re-import, shards inherit sys.path); fall back
-    to the platform default elsewhere."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-class ParallelSweep:
-    """Fan a list of :class:`GameSpec` out over a worker pool.
-
-    Parameters
-    ----------
-    workers:
-        Worker process count.  ``1`` plays every spec inline (no pool),
-        which keeps the serial path free of multiprocessing machinery.
-    journal:
-        The main :class:`SweepJournal`, if the sweep is journaled.
-        Workers write shards next to it; :meth:`run` merges them when the
-        pool completes.
-    """
-
-    def __init__(
-        self, workers: int, journal: Optional[SweepJournal] = None
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.journal = journal
-
-    def run(
-        self,
-        specs: Sequence[GameSpec],
-        precomputed: Optional[Dict[int, object]] = None,
-    ) -> List[object]:
-        """Play every spec; returns rows in spec order.
-
-        ``precomputed`` maps spec indices to already-known rows (resumed
-        from a journal); those specs are not played.
-
-        Each played game's metrics snapshot is folded into the caller's
-        ambient registry, so after a parallel sweep
-        ``get_registry().snapshot()`` reports the same totals a serial
-        sweep would have accumulated — except the ball-cache hit/miss
-        split and eviction/flush counters, which are per-process cache
-        profile rather than simulation state (the query total still
-        matches; see the module docstring).
-        """
-        precomputed = precomputed or {}
-        rows: List[object] = [None] * len(specs)
-        for index, row in precomputed.items():
-            rows[index] = row
-        pending = [
-            (index, spec)
-            for index, spec in enumerate(specs)
-            if index not in precomputed
-        ]
-        if not pending:
-            return rows
-        ambient = get_registry()
-        if self.workers == 1:
-            for index, spec in pending:
-                outcome = play_spec(spec)
-                rows[index] = outcome.row
-                ambient.merge(outcome.metrics)
-                if self.journal is not None:
-                    self.journal.merge_shards()
-            return rows
-        ctx = _pool_context()
-        pool_size = min(self.workers, len(pending))
-        # Batch specs per map task so the pool pays one IPC round-trip
-        # per chunk, not per game (chunksize=1 was measured at 0.75x
-        # "speedup"); ~4 chunks per worker keeps late stealing possible.
-        chunksize = max(1, len(pending) // (pool_size * 4))
-        with ctx.Pool(processes=pool_size) as pool:
-            played = pool.map(
-                play_spec, [spec for _, spec in pending], chunksize=chunksize
-            )
-        for (index, _), outcome in zip(pending, played):
-            rows[index] = outcome.row
-            ambient.merge(outcome.metrics)
-        if self.journal is not None:
-            self.journal.merge_shards()
-        return rows

@@ -1,58 +1,32 @@
-"""The adversary tournament: every lower bound vs every victim, one call.
+"""Tournament rows: one adversary-vs-victim outcome per game.
 
-``run_tournament()`` plays the full cartesian product of
+The tournament plays the full cartesian product of
 
 * adversaries — Theorem 1 (grids), Theorem 2 (torus + cylinder),
   Theorem 3 (gadgets, both the 2k−2 and the k+1 color budgets), and
   Theorem 5 (the reduction chain), and
 * victims — greedy, the truncated Akbari algorithm, the sandwiched
-  LOCAL baseline, and (optionally) the fault-injection family,
+  LOCAL baseline, and (optionally) the fault-injection family.
 
-returning structured rows for reporting.  Used by
-``examples/tournament.py`` and ``benchmarks/bench_tournament.py``; the
-paper's prediction is a clean sweep over the honest victims, which
-callers assert.
+It is a pre-baked campaign
+(:meth:`repro.analysis.campaign.CampaignSpec.tournament`), played by
+the campaign engine through :func:`repro.api.run_tournament` or
+``repro tournament``.  This module holds the row type those entry
+points return and the predicates callers assert with; the paper's
+prediction is a clean sweep over the honest victims.
 
-Robustness
-----------
 Every game runs inside a :class:`~repro.robustness.supervisor.SupervisedGame`
 boundary: a victim that raises, loops forever, or breaks the model
 contract yields a *forfeit* row (``row.forfeit`` true, reason prefixed
-``"forfeit:"``) instead of aborting the sweep.  Long sweeps can journal
-completed rows to disk (``journal_path=``) and resume after a kill
-(``resume=True``), replaying only the games that never finished.
+``"forfeit:"``) instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.adversaries.result import AdversaryResult
-from repro.analysis.executor import resolve_workers
-from repro.models.base import OnlineAlgorithm
-from repro.observability.metrics import get_registry
-from repro.observability.trace import (
-    JsonlTraceRecorder,
-    merge_trace_shards,
-    tracing,
-)
-from repro.registry import (
-    DEFAULT_ADVERSARIES,
-    DEFAULT_VICTIMS,
-    FIXED_VICTIM,
-    FixedVictimGame,
-    get_adversary,
-    get_victim,
-)
-from repro.robustness.faults import faulty_victims
-from repro.robustness.journal import SweepJournal
-from repro.robustness.supervisor import GamePolicy, SupervisedGame
-
-#: Journal fields identifying a game for resume purposes.
-JOURNAL_KEY_FIELDS = ("adversary", "victim", "locality")
 
 
 @dataclass
@@ -81,25 +55,6 @@ class TournamentRow:
     n: Optional[int] = None
 
 
-AdversaryEntry = Union[
-    Callable[[OnlineAlgorithm], AdversaryResult], FixedVictimGame
-]
-
-
-def default_victims() -> Dict[str, Callable[[], OnlineAlgorithm]]:
-    """The standard (honest) victim portfolio, resolved through
-    :mod:`repro.registry` (registration replaces the old dict literal)."""
-    return {name: get_victim(name) for name in DEFAULT_VICTIMS}
-
-
-def default_adversaries(locality: int) -> Dict[str, AdversaryEntry]:
-    """The standard adversary lineup at the given victim locality,
-    resolved through :mod:`repro.registry`."""
-    return {
-        name: get_adversary(name)(locality) for name in DEFAULT_ADVERSARIES
-    }
-
-
 def _row_from_result(
     adversary: str, victim: str, locality: int, result: AdversaryResult
 ) -> TournamentRow:
@@ -124,199 +79,6 @@ def _row_from_result(
         failed_at_step=failed_at_step,
         n=result.stats.get("declared_n"),
     )
-
-
-def _row_from_journal(entry: dict) -> TournamentRow:
-    return TournamentRow(
-        adversary=entry["adversary"],
-        victim=entry["victim"],
-        locality=int(entry["locality"]),
-        won=bool(entry["won"]),
-        reason=entry["reason"],
-        forfeit=bool(entry.get("forfeit", False)),
-        detail=entry.get("detail", ""),
-        error_type=entry.get("error_type", ""),
-        failed_at_step=entry.get("failed_at_step"),
-        n=entry.get("n"),
-    )
-
-
-def run_tournament(
-    locality: int = 1,
-    victims: Optional[Dict[str, Callable[[], OnlineAlgorithm]]] = None,
-    adversaries: Optional[Dict[str, AdversaryEntry]] = None,
-    *,
-    include_faulty: bool = False,
-    policy: Optional[GamePolicy] = None,
-    journal_path=None,
-    resume: bool = False,
-    workers: Optional[int] = None,
-    trace_path=None,
-) -> List[TournamentRow]:
-    """Play every pairing; returns one row per game.
-
-    Parameters
-    ----------
-    locality:
-        The victims' locality budget ``T``.
-    victims, adversaries:
-        Override the default portfolios.  Adversary entries are either
-        victim→result callables or :class:`FixedVictimGame` wrappers
-        (played once, under the :data:`FIXED_VICTIM` column).
-    include_faulty:
-        Append the fault-injection victim family
-        (:func:`repro.robustness.faults.faulty_victims`) to the sweep.
-    policy:
-        Per-game step/time budgets.  Defaults to a 30s wall-clock
-        timeout per game; pass an explicit :class:`GamePolicy` to
-        tighten or lift it.
-    journal_path:
-        When given, append each completed row to this JSON-lines journal
-        (flushed per game, kill-safe).
-    resume:
-        With ``journal_path``: skip every game already journaled,
-        reusing the recorded rows, so a killed sweep completes only the
-        remainder on the next invocation.
-    workers:
-        Worker process count for the sweep (default 1 = serial; ``None``
-        also reads the ``REPRO_WORKERS`` environment variable).  Values
-        above 1 fan games out over a multiprocessing pool
-        (:class:`repro.analysis.executor.ParallelSweep`), with rows
-        returned in the exact serial order.  Only the default portfolios
-        can cross a process boundary — custom ``victims``/``adversaries``
-        callables always run serially, whatever ``workers`` says.
-    trace_path:
-        When given, record a structured game trace (JSON-lines, see
-        :mod:`repro.observability.trace`) to this file — span records
-        per game, reveal/commitment events, and a final metrics
-        snapshot.  Parallel sweeps write per-worker shards and merge
-        them here when the pool drains.
-    """
-    custom_portfolio = victims is not None or adversaries is not None
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and not custom_portfolio:
-        return _run_parallel(
-            locality=locality,
-            include_faulty=include_faulty,
-            policy=policy if policy is not None else GamePolicy(timeout=30.0),
-            journal_path=journal_path,
-            resume=resume,
-            workers=n_workers,
-            trace_path=trace_path,
-        )
-
-    victims = dict(victims) if victims is not None else default_victims()
-    if include_faulty:
-        victims.update(faulty_victims())
-    adversaries = (
-        adversaries if adversaries is not None else default_adversaries(locality)
-    )
-    policy = policy if policy is not None else GamePolicy(timeout=30.0)
-    journal = (
-        SweepJournal(journal_path, JOURNAL_KEY_FIELDS)
-        if journal_path is not None
-        else None
-    )
-    if journal is not None:
-        # A previous parallel run may have died with rows still in worker
-        # shards; fold them in so resume sees every finished game.
-        journal.merge_shards()
-    done = journal.completed() if (journal is not None and resume) else {}
-
-    trace = tracing(trace_path) if trace_path is not None else nullcontext()
-    rows: List[TournamentRow] = []
-    with trace:
-        for adversary_name, entry in adversaries.items():
-            if isinstance(entry, FixedVictimGame):
-                pairings = [(FIXED_VICTIM, None)]
-            else:
-                pairings = list(victims.items())
-            for victim_name, factory in pairings:
-                key = (adversary_name, victim_name, locality)
-                if key in done:
-                    rows.append(_row_from_journal(done[key]))
-                    continue
-                labels = {"adversary": adversary_name}
-                if isinstance(entry, FixedVictimGame):
-                    game = SupervisedGame(
-                        lambda _victim, e=entry: e.play(), policy, labels=labels
-                    )
-                    result = game.run(None)
-                else:
-                    result = SupervisedGame(entry, policy, labels=labels).run(
-                        factory()
-                    )
-                row = _row_from_result(
-                    adversary_name, victim_name, locality, result
-                )
-                rows.append(row)
-                if journal is not None:
-                    journal.append(asdict(row))
-    return rows
-
-
-def _run_parallel(
-    locality: int,
-    include_faulty: bool,
-    policy: GamePolicy,
-    journal_path,
-    resume: bool,
-    workers: int,
-    trace_path=None,
-) -> List[TournamentRow]:
-    """The parallel sweep over the default portfolios.
-
-    The game list is the pre-baked tournament campaign's expansion
-    (:meth:`repro.analysis.campaign.CampaignSpec.tournament`) — picklable
-    :class:`~repro.analysis.executor.GameSpec` entries in the serial
-    sweep's exact order, reassembled by index, so the returned rows are
-    identical to a serial run.  Worker trace shards are merged into
-    ``trace_path`` when the pool drains, followed by a ``metrics``
-    record of the parent's registry (which by then holds every worker's
-    folded snapshot).
-    """
-    from dataclasses import replace as _replace
-
-    from repro.analysis.campaign import CampaignSpec
-    from repro.analysis.executor import GameSpec, ParallelSweep
-
-    if trace_path is not None and os.path.exists(os.fspath(trace_path)):
-        os.remove(os.fspath(trace_path))
-    journal = (
-        SweepJournal(journal_path, JOURNAL_KEY_FIELDS)
-        if journal_path is not None
-        else None
-    )
-    if journal is not None:
-        journal.merge_shards()
-    done = journal.completed() if (journal is not None and resume) else {}
-
-    campaign = CampaignSpec.tournament(locality, include_faulty=include_faulty)
-    specs: List[GameSpec] = [
-        _replace(
-            spec,
-            policy=policy,
-            include_faulty=include_faulty,
-            journal_path=None if journal is None else journal.path,
-            trace_path=None if trace_path is None else os.fspath(trace_path),
-        )
-        for spec in campaign.expand()
-    ]
-    precomputed = {}
-    for index, spec in enumerate(specs):
-        key = (spec.adversary, spec.victim, spec.locality)
-        if key in done:
-            precomputed[index] = _row_from_journal(done[key])
-    sweep = ParallelSweep(workers, journal=journal)
-    rows = sweep.run(specs, precomputed=precomputed)
-    if trace_path is not None:
-        merge_trace_shards(trace_path)
-        recorder = JsonlTraceRecorder(trace_path)
-        recorder.write(
-            {"type": "metrics", "snapshot": get_registry().snapshot()}
-        )
-        recorder.close()
-    return rows
 
 
 def clean_sweep(rows: List[TournamentRow]) -> bool:

@@ -28,15 +28,13 @@ Entry points
 :func:`run_game`
     Play one adversary-vs-victim game by registry name.
 :func:`run_tournament`
-    The pre-baked full-portfolio sweep (see
-    :mod:`repro.analysis.tournament`).
+    The pre-baked full-portfolio sweep
+    (:meth:`CampaignSpec.tournament`), played by the campaign engine.
 :func:`run_campaign` / :func:`run_threshold_search`
     Declarative campaigns over the sharded work-queue scheduler with a
     content-addressed result store (see :mod:`repro.analysis.campaign`).
-    The canonical call form takes a :class:`SubmitRequest`; the
-    pre-PR-10 loose-kwargs forms still work behind a
-    :class:`DeprecationWarning` (see ``docs/api.md`` for the
-    migration).
+    Like :func:`run_tournament`, they take a :class:`SubmitRequest`;
+    any other first argument raises :class:`TypeError`.
 :func:`verify_coloring` / :func:`is_proper`
     Machine-check a coloring against a graph.
 Registries
@@ -49,17 +47,12 @@ Spec dataclasses (:class:`GameSpec`, :class:`GamePolicy`,
 :class:`TournamentRow`, :class:`CampaignOutcome`,
 :class:`ThresholdResult`) and the store (:class:`ResultStore`,
 :func:`spec_hash`) ride along for typed callers.
-
-Symbols that predate the facade and moved during the PR 5 redesign are
-served through deprecation shims: importing them from here works but
-emits a :class:`DeprecationWarning` naming the canonical location.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.campaign import (
     AdversaryRef,
@@ -94,7 +87,6 @@ from repro.analysis.tournament import (
     clean_sweep,
     honest_rows,
 )
-from repro.analysis.tournament import run_tournament as _engine_run_tournament
 from repro.registry import (
     FIXED_VICTIM,
     FixedVictimGame,
@@ -489,14 +481,12 @@ _REQUEST_OPTION_FIELDS = frozenset(
 )
 
 
-def _warn_loose(entry_point: str) -> None:
-    warnings.warn(
-        f"the loose-kwargs form of repro.api.{entry_point} is deprecated; "
-        f"build an api.SubmitRequest and pass it instead "
-        f"(see docs/api.md, 'Migrating to typed requests')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def _require_request(request: Any, entry_point: str) -> None:
+    if not isinstance(request, SubmitRequest):
+        raise TypeError(
+            f"repro.api.{entry_point} takes an api.SubmitRequest, got "
+            f"{type(request).__name__} (see docs/api.md)"
+        )
 
 
 def _request_engine_kwargs(
@@ -520,62 +510,49 @@ def _request_engine_kwargs(
 
 
 def run_campaign(
-    request: Union[SubmitRequest, CampaignSpec],
-    store_dir=None,
-    **options: Any,
+    request: SubmitRequest, store_dir=None, **options: Any
 ) -> CampaignOutcome:
     """Run (or resume) a grid-sweep campaign against a result store.
 
-    Canonical form: ``run_campaign(SubmitRequest(spec=...), store_dir)``.
-    Run options (workers, budgets, retries) live on the request;
-    machine-level plumbing (``trace_path``, ``max_worker_restarts``,
-    ``poison_threshold``) may still be passed as keywords.  The
-    pre-PR-10 loose form ``run_campaign(spec, store_dir, workers=...)``
-    keeps working behind a :class:`DeprecationWarning`.
+    ``run_campaign(SubmitRequest(spec=...), store_dir)``.  Run options
+    (workers, budgets, retries) live on the request; machine-level
+    plumbing (``trace_path``, ``max_worker_restarts``,
+    ``poison_threshold``) may be passed as keywords.
     """
-    if isinstance(request, SubmitRequest):
-        if store_dir is None:
-            raise TypeError("run_campaign(SubmitRequest) needs a store_dir")
-        if not isinstance(request.spec, CampaignSpec):
-            raise CampaignError(
-                "run_campaign takes a sweep submission; use "
-                "run_threshold_search for threshold specs"
-            )
-        return _engine_run_campaign(
-            request.spec, store_dir,
-            **_request_engine_kwargs(request, options),
+    _require_request(request, "run_campaign")
+    if store_dir is None:
+        raise TypeError("run_campaign(SubmitRequest) needs a store_dir")
+    if not isinstance(request.spec, CampaignSpec):
+        raise CampaignError(
+            "run_campaign takes a sweep submission; use "
+            "run_threshold_search for threshold specs"
         )
-    _warn_loose("run_campaign")
-    return _engine_run_campaign(request, store_dir, **options)
+    return _engine_run_campaign(
+        request.spec, store_dir, **_request_engine_kwargs(request, options)
+    )
 
 
 def run_threshold_search(
-    request: Union[SubmitRequest, ThresholdSearchSpec],
-    store_dir=None,
-    **options: Any,
+    request: SubmitRequest, store_dir=None, **options: Any
 ) -> Tuple[List[ThresholdResult], CampaignOutcome]:
     """Run (or resume) an adaptive threshold-search campaign.
 
-    Same calling convention as :func:`run_campaign`: canonical form
-    takes a :class:`SubmitRequest` whose spec is a
-    :class:`ThresholdSearchSpec`; the loose-kwargs form is deprecated.
+    Same calling convention as :func:`run_campaign`, with a
+    :class:`ThresholdSearchSpec` as the request's spec.
     """
-    if isinstance(request, SubmitRequest):
-        if store_dir is None:
-            raise TypeError(
-                "run_threshold_search(SubmitRequest) needs a store_dir"
-            )
-        if not isinstance(request.spec, ThresholdSearchSpec):
-            raise CampaignError(
-                "run_threshold_search takes a threshold submission; use "
-                "run_campaign for sweep specs"
-            )
-        return _engine_run_threshold_search(
-            request.spec, store_dir,
-            **_request_engine_kwargs(request, options),
+    _require_request(request, "run_threshold_search")
+    if store_dir is None:
+        raise TypeError(
+            "run_threshold_search(SubmitRequest) needs a store_dir"
         )
-    _warn_loose("run_threshold_search")
-    return _engine_run_threshold_search(request, store_dir, **options)
+    if not isinstance(request.spec, ThresholdSearchSpec):
+        raise CampaignError(
+            "run_threshold_search takes a threshold submission; use "
+            "run_campaign for sweep specs"
+        )
+    return _engine_run_threshold_search(
+        request.spec, store_dir, **_request_engine_kwargs(request, options)
+    )
 
 
 def run_submission(
@@ -590,86 +567,43 @@ def run_submission(
 
 
 def run_tournament(
-    request: Any = None,
-    store_dir=None,
-    **options: Any,
+    request: SubmitRequest, store_dir=None, **options: Any
 ) -> List[TournamentRow]:
-    """Play the pre-baked full-portfolio sweep; returns one row per game.
+    """Play a sweep submission; returns one row per game, in expansion
+    order.
 
-    Canonical form: ``run_tournament(SubmitRequest(
-    spec=CampaignSpec.tournament(locality)), store_dir=...)`` — the
-    tournament is exactly a pre-baked campaign, so the typed form runs
-    through the campaign engine and the content-addressed store
-    (``store_dir`` optional: omitted, a throwaway store is used and the
-    rows are simply returned).  The loose form
-    ``run_tournament(locality=1, workers=...)`` keeps working behind a
-    :class:`DeprecationWarning`.
+    ``run_tournament(SubmitRequest(spec=CampaignSpec.tournament(locality)))``
+    plays the pre-baked full-portfolio sweep; any other sweep spec (a
+    named subset of adversaries and victims) works the same way.  The
+    tournament is exactly a campaign, so it runs through the campaign
+    engine and a content-addressed store: ``store_dir`` when given,
+    otherwise a throwaway store, and the rows are simply returned.
+    ``options`` are the machine-level keywords of :func:`run_campaign`
+    (``trace_path``, ...).
+
+    A game that fails outside the supervisor boundary has no row, so
+    rather than return a short list this raises :class:`CampaignError`.
     """
-    if isinstance(request, SubmitRequest):
-        if not isinstance(request.spec, CampaignSpec):
-            raise CampaignError(
-                "run_tournament takes a sweep submission "
-                "(CampaignSpec.tournament builds the canonical one)"
-            )
+    _require_request(request, "run_tournament")
+    if not isinstance(request.spec, CampaignSpec):
+        raise CampaignError(
+            "run_tournament takes a sweep submission "
+            "(CampaignSpec.tournament builds the canonical one)"
+        )
+    if store_dir is None:
         import tempfile
 
-        if store_dir is None:
-            with tempfile.TemporaryDirectory(prefix="repro-tournament-") as tmp:
-                index = run_campaign(request, tmp, **options).rows
-        else:
-            run_campaign(request, store_dir, **options)
-            index = ResultStore(store_dir).index()
-        row_fields = {f.name for f in fields(TournamentRow)}
-        return [
-            TournamentRow(**{k: v for k, v in row.items() if k in row_fields})
-            for row in covered_rows(request.spec, index)
-        ]
-    if request is not None and not isinstance(request, int):
-        raise TypeError(
-            "run_tournament takes a SubmitRequest (canonical) or the "
-            f"deprecated loose locality/kwargs form, got {type(request).__name__}"
+        with tempfile.TemporaryDirectory(prefix="repro-tournament-") as tmp:
+            outcome = run_campaign(request, tmp, **options)
+    else:
+        outcome = run_campaign(request, store_dir, **options)
+    if outcome.errors:
+        raise CampaignError(
+            f"{len(outcome.errors)} of {outcome.total} games failed: "
+            f"{outcome.errors[0]}"
         )
-    _warn_loose("run_tournament")
-    args = () if request is None else (request,)
-    return _engine_run_tournament(*args, **options)
-_MOVED = {
-    "default_victims": (
-        "repro.analysis.tournament", "default_victims",
-        "resolve portfolios through repro.registry instead",
-    ),
-    "default_adversaries": (
-        "repro.analysis.tournament", "default_adversaries",
-        "resolve portfolios through repro.registry instead",
-    ),
-    "SweepJournal": (
-        "repro.robustness.journal", "SweepJournal",
-        "import it from repro.robustness.journal",
-    ),
-    "ParallelSweep": (
-        "repro.analysis.executor", "ParallelSweep",
-        "import it from repro.analysis.executor",
-    ),
-    "faulty_victims": (
-        "repro.robustness.faults", "faulty_victims",
-        "faulty victims are registered in repro.registry",
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        module_name, attr, hint = _MOVED[name]
-        warnings.warn(
-            f"repro.api.{name} is deprecated; {hint} "
-            f"(canonical location: {module_name}.{attr})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_MOVED) | set(globals()))
+    row_fields = {f.name for f in fields(TournamentRow)}
+    return [
+        TournamentRow(**{k: v for k, v in row.items() if k in row_fields})
+        for row in covered_rows(request.spec, outcome.rows)
+    ]

@@ -40,14 +40,16 @@ Subcommands
 Shared run flags
 ----------------
 Every game-playing subcommand (``adversary``, ``upper-bound``,
-``tournament``, ``campaign run``/``resume``) takes the same five flags
+``tournament``, ``campaign run``/``resume``) takes the same three flags
 from one parent parser: ``--trace FILE`` records a structured JSON-lines
 trace, ``--metrics`` prints the metrics-registry totals after the run,
-``--workers N`` parallelizes sweeps (single-game commands reject N > 1),
-and ``--journal PATH`` / ``--resume`` checkpoint completed games to a
-JSON-lines journal and skip them on the next run.  Campaigns persist to
-their result store instead of a journal, so they reject ``--journal``
-and treat ``--resume`` as the no-op it is (every campaign run resumes).
+and ``--workers N`` parallelizes sweeps (single-game commands reject
+N > 1).  The single-game commands (``adversary``, ``upper-bound``) also
+take ``--journal PATH`` / ``--resume``, which record the finished game
+in a JSON-lines journal and skip it on the next run.  Sweeps
+(``tournament``, ``campaign``) run through the campaign engine; a
+campaign persists every game to its result store, so re-running it
+with ``campaign resume`` plays only the games that are missing.
 
 Exit statuses: 0 success, 1 structured failure (an adversary survived,
 a harness error), 2 bad invocation (reported as ``repro: error: ...``).
@@ -153,9 +155,12 @@ def _require_serial(args: argparse.Namespace, command: str) -> None:
         )
 
 
+#: Journal fields identifying a single game for ``--resume``.
+_GAME_KEY_FIELDS = ("adversary", "victim", "locality")
+
+
 def _journal_for(args: argparse.Namespace):
     """The single-game journal named by ``--journal``, if any."""
-    from repro.analysis.tournament import JOURNAL_KEY_FIELDS
     from repro.robustness.journal import SweepJournal
 
     if args.resume and args.journal is None:
@@ -165,7 +170,7 @@ def _journal_for(args: argparse.Namespace):
         )
     if args.journal is None:
         return None
-    return SweepJournal(args.journal, JOURNAL_KEY_FIELDS)
+    return SweepJournal(args.journal, _GAME_KEY_FIELDS)
 
 
 #: Short aliases kept from the pre-registry CLI; everything else in the
@@ -322,29 +327,27 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.analysis.tables import render_table
-    from repro.analysis.tournament import (
+    from repro.analysis.tournament import forfeit_rows
+    from repro.api import (
+        CampaignSpec,
+        SubmitRequest,
         clean_sweep,
-        forfeit_rows,
         honest_rows,
         run_tournament,
     )
-    from repro.robustness.supervisor import GamePolicy
 
-    if args.resume and args.journal is None:
-        raise UserError(
-            "--resume needs --journal PATH (there is no journal to "
-            "resume from)"
-        )
-
+    spec = replace(
+        CampaignSpec.tournament(args.locality, args.include_faulty),
+        step_budget=args.step_budget,
+        timeout=args.timeout,
+    )
+    if args.trace and os.path.exists(args.trace):
+        os.remove(args.trace)  # a tournament trace describes one run
     rows = run_tournament(
-        locality=args.locality,
-        include_faulty=args.include_faulty,
-        policy=GamePolicy(step_budget=args.step_budget, timeout=args.timeout),
-        journal_path=args.journal,
-        resume=args.resume,
-        workers=args.workers,
-        trace_path=args.trace,
+        SubmitRequest(spec=spec, workers=args.workers), trace_path=args.trace
     )
 
     def verdict(row) -> str:
@@ -388,11 +391,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         threshold_table,
     )
 
-    if args.journal is not None:
-        raise UserError(
-            "campaigns persist to the result store; use --store DIR "
-            "instead of --journal"
-        )
     if args.require_store and not os.path.isdir(args.store):
         raise UserError(
             f"nothing to resume: no result store at {args.store!r} "
@@ -734,7 +732,7 @@ def _positive_int(text: str) -> int:
 
 def _run_flags() -> argparse.ArgumentParser:
     """The shared parent parser: every game-playing subcommand takes the
-    same five run flags, declared exactly once."""
+    same three run flags, declared exactly once."""
     flags = argparse.ArgumentParser(add_help=False)
     group = flags.add_argument_group("run flags")
     group.add_argument(
@@ -751,15 +749,21 @@ def _run_flags() -> argparse.ArgumentParser:
         help="worker processes for sweeps (default 1 = serial; "
         "single-game commands reject N > 1)",
     )
+    return flags
+
+
+def _journal_flags() -> argparse.ArgumentParser:
+    """``--journal``/``--resume``, for the single-game subcommands."""
+    flags = argparse.ArgumentParser(add_help=False)
+    group = flags.add_argument_group("journal flags")
     group.add_argument(
         "--journal", default=None, metavar="PATH",
-        help="append completed games to a JSON-lines journal "
-        "(campaigns use --store instead)",
+        help="append the finished game to a JSON-lines journal",
     )
     group.add_argument(
         "--resume", action="store_true",
-        help="skip games already recorded in --journal "
-        "(requires --journal; campaigns always resume from --store)",
+        help="skip the game if --journal already records it "
+        "(requires --journal)",
     )
     return flags
 
@@ -772,9 +776,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     flags = _run_flags()
+    journal = _journal_flags()
 
     adversary = sub.add_parser(
-        "adversary", parents=[flags], help="run a lower-bound adversary"
+        "adversary", parents=[flags, journal],
+        help="run a lower-bound adversary",
     )
     adversary.add_argument(
         "adversary", metavar="ADVERSARY",
@@ -789,7 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
     adversary.set_defaults(func=cmd_adversary)
 
     upper = sub.add_parser(
-        "upper-bound", parents=[flags], help="run an upper-bound algorithm"
+        "upper-bound", parents=[flags, journal],
+        help="run an upper-bound algorithm",
     )
     upper.add_argument("algorithm", choices=["akbari", "unify-triangular"])
     upper.add_argument("--side", type=int, default=16)

@@ -149,8 +149,9 @@ def faulty_victims(
 ) -> dict:
     """The standing fault-injection victim family for tournaments.
 
-    Returns name → zero-argument factory, mirroring
-    :func:`repro.analysis.tournament.default_victims`.
+    Returns name → zero-argument factory; :mod:`repro.registry`
+    registers each under its name, and ``include_faulty`` campaign specs
+    (``CampaignSpec.tournament(T, include_faulty=True)``) sweep them.
     """
     return {
         "faulty-crash": lambda: CrashingAlgorithm(trigger_step=trigger_step),

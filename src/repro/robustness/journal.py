@@ -1,9 +1,10 @@
-"""Crash-safe sweep journaling: JSON-lines checkpoints for long runs.
+"""Crash-safe journaling: the JSON-lines primitive for kill-safe records.
 
 A :class:`SweepJournal` records one JSON object per completed game (or
-benchmark row) and can be reloaded after a crash or kill to resume a
-sweep from where it stopped.  Rows are keyed by caller-chosen tuples —
-the tournament uses ``(adversary, victim, locality)``.
+trace event, or run-ledger entry) and can be reloaded after a crash or
+kill.  Rows are keyed by caller-chosen tuples — the result store keys
+rows by content hash, traces by ``(src, seq)``, and the single-game CLI
+checkpoint by ``(adversary, victim, locality)``.
 
 The format is deliberately append-only, one self-contained JSON object
 per line, flushed per write: killing the process mid-sweep loses at most
@@ -149,12 +150,12 @@ class SweepJournal:
     # Worker shards
     # ------------------------------------------------------------------
     def shard(self, worker_id) -> "SweepJournal":
-        """A sibling journal for one parallel worker.
+        """A sibling journal for one concurrent writer.
 
-        Parallel sweeps give each worker process its own append-only
-        shard (``<path>.shard-<worker_id>``) so workers never contend on
-        the main journal file; :meth:`merge_shards` folds the shards back
-        in when the sweep completes (or on resume after a kill).
+        Each writer process gets its own append-only shard
+        (``<path>.shard-<worker_id>``) so writers never contend on the
+        main journal file; :meth:`merge_shards` folds the shards back in
+        when the run completes (or on resume after a kill).
         """
         return SweepJournal(f"{self.path}.shard-{worker_id}", self.key_fields)
 

@@ -130,12 +130,10 @@ def test_load_campaign_json(tmp_path):
 
 
 def test_hash_excludes_run_plumbing():
-    """Timeout and journal/trace paths are machine properties, not game
+    """Timeout and trace path are machine properties, not game
     identity — changing them must not invalidate stored rows."""
     fast = CampaignSpec(**SMALL, timeout=1.0).expand()
-    slow = CampaignSpec(**SMALL, timeout=99.0).expand(
-        journal_path="j.jsonl", trace_path="t.jsonl"
-    )
+    slow = CampaignSpec(**SMALL, timeout=99.0).expand(trace_path="t.jsonl")
     assert [hash_of(s) for s in fast] == [hash_of(s) for s in slow]
 
 
@@ -427,11 +425,15 @@ def test_backoff_delay_full_jitter_windows_and_cap():
 # ----------------------------------------------------------------------
 
 
-def test_run_ledger_records_phases_when_timed(tmp_path):
+@pytest.mark.parametrize("workers", (1, 2))
+def test_run_ledger_records_phases_when_timed(tmp_path, workers):
     from repro.observability.timers import phase_timers_enabled
 
     assert not phase_timers_enabled()
-    run_campaign(CampaignSpec(**SMALL), tmp_path / "store", timers=True)
+    run_campaign(
+        CampaignSpec(**SMALL), tmp_path / "store", workers=workers,
+        timers=True,
+    )
     assert not phase_timers_enabled()  # restored afterwards
 
     entry = ResultStore(tmp_path / "store").runs()[-1]
@@ -439,11 +441,9 @@ def test_run_ledger_records_phases_when_timed(tmp_path):
     phases = entry["phases"]
     assert phases and all(s >= 0 for s in phases.values())
     assert "spec-expand" in phases
-    from repro.analysis.executor import resolve_workers
-
-    if resolve_workers(None) > 1:
-        # Pooled runs (REPRO_WORKERS > 1): compute and fsync happen in
-        # the workers; the parent's own phases are the IPC/idle split.
+    if workers > 1:
+        # Pooled runs: compute and fsync happen in the workers; the
+        # parent's own phases are the IPC/idle split.
         assert "ack-wait" in phases
         assert "worker:compute" in phases
     else:

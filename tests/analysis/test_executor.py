@@ -1,25 +1,16 @@
-"""Tests for the process-parallel tournament executor."""
+"""Tests for the picklable game unit (GameSpec/play_spec) and for the
+worker-count independence of what it ships back."""
 
-import os
 import pickle
 
 import pytest
 
-from repro.analysis.executor import (
-    GameSpec,
-    ParallelSweep,
-    play_spec,
-    resolve_workers,
-)
-from repro.analysis.tournament import (
-    FIXED_VICTIM,
-    JOURNAL_KEY_FIELDS,
-    TournamentRow,
-    default_adversaries,
-    run_tournament,
-)
-from repro.core.baselines import GreedyOnlineColorer
-from repro.robustness.journal import SweepJournal
+from repro import api
+from repro.analysis.campaign import CampaignSpec, run_campaign
+from repro.analysis.executor import GameSpec, play_spec
+from repro.analysis.tournament import TournamentRow
+from repro.observability.metrics import scoped_registry
+from repro.registry import FIXED_VICTIM
 from repro.robustness.supervisor import GamePolicy
 
 POLICY = GamePolicy(timeout=30.0)
@@ -27,12 +18,12 @@ POLICY = GamePolicy(timeout=30.0)
 
 def test_game_spec_is_picklable():
     spec = GameSpec(
-        adversary="theorem1-grid",
+        adversary="theorem3-gadget(2k-2)",
         victim="greedy",
         locality=1,
         policy=POLICY,
-        include_faulty=True,
-        journal_path="/tmp/x.jsonl",
+        trace_path="/tmp/x.jsonl",
+        params=(("k", 4),),
     )
     assert pickle.loads(pickle.dumps(spec)) == spec
 
@@ -46,7 +37,7 @@ def test_play_spec_inline_matches_tournament_row():
         "theorem1-grid", "greedy", 1,
     )
     assert row.won
-    # The worker ships the game's exact metric delta back with the row.
+    # The game ships its exact metric delta back with the row.
     assert outcome.metrics["counters"]["reveals_total"] > 0
     assert outcome.metrics["histograms"]["game_wall_seconds"]["count"] == 1
 
@@ -64,134 +55,54 @@ def test_play_spec_rejects_mismatched_fixed_victim():
         play_spec(GameSpec("theorem5-reduction", "greedy", 1, POLICY))
 
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    assert resolve_workers(None) == 2
-    assert resolve_workers(1) == 1  # explicit argument wins
-    with pytest.raises(ValueError):
-        resolve_workers(0)
-
-
 def test_parallel_rows_identical_to_serial():
     """The acceptance property: same order, same outcomes."""
-    serial = run_tournament(locality=1, workers=1)
-    parallel = run_tournament(locality=1, workers=2)
+    spec = CampaignSpec.tournament(locality=1)
+    serial = api.run_tournament(api.SubmitRequest(spec=spec, workers=1))
+    parallel = api.run_tournament(api.SubmitRequest(spec=spec, workers=2))
     assert parallel == serial
     assert len(parallel) == 16
 
 
-def test_parallel_metrics_match_serial():
-    """Worker registry snapshots folded into the parent must reproduce
-    the serial sweep's counter totals exactly.
+def test_parallel_metrics_match_serial(tmp_path):
+    """Game snapshots folded into the parent must reproduce the same
+    counter totals at one worker (inline) and at two (pooled).
 
-    Ball-cache hit/miss *splits* are the one exception: the shared ball
-    pool is per-process, so how queries divide into hits vs misses
-    depends on which worker played which games (and forked workers
-    inherit whatever the parent had already warmed).  The query total
-    and every simulation counter are partition-independent and must
-    match exactly.
+    Ball-cache hit/miss *splits* are the one exception: the ball pool is
+    per-process, so how queries divide into hits vs misses depends on
+    which process played which games.  The query total and every
+    simulation counter are partition-independent and must match exactly.
+    ``campaign_*`` counters are scheduler bookkeeping (the pool adds
+    heartbeats and warm-pool adoptions); of those only the game tallies
+    are compared.
     """
-    from repro.observability.metrics import scoped_registry
-
-    with scoped_registry() as serial_registry:
-        run_tournament(locality=1, workers=1)
-        serial = serial_registry.snapshot()
-    with scoped_registry() as parallel_registry:
-        run_tournament(locality=1, workers=2)
-        parallel = parallel_registry.snapshot()
+    spec = CampaignSpec.tournament(locality=1)
+    snapshots = {}
+    for workers in (1, 2):
+        with scoped_registry() as registry:
+            run_campaign(spec, tmp_path / f"store-{workers}", workers=workers)
+            snapshots[workers] = registry.snapshot()
+    serial, pooled = snapshots[1], snapshots[2]
 
     def split(counters):
         cache = {k: v for k, v in counters.items()
                  if k.startswith("ball_cache_")}
-        rest = {k: v for k, v in counters.items()
-                if not k.startswith("ball_cache_")}
-        return cache, rest
+        game = {k: v for k, v in counters.items()
+                if not k.startswith(("ball_cache_", "campaign_"))}
+        tallies = {k: counters.get(k, 0) for k in (
+            "campaign_games_played", "campaign_games_deduped",
+            "campaign_game_errors",
+        )}
+        return cache, game, tallies
 
-    serial_cache, serial_rest = split(serial["counters"])
-    parallel_cache, parallel_rest = split(parallel["counters"])
-    assert serial_rest == parallel_rest
+    serial_cache, serial_game, serial_tallies = split(serial["counters"])
+    pooled_cache, pooled_game, pooled_tallies = split(pooled["counters"])
+    assert serial_game == pooled_game
+    assert serial_game["reveals_total"] > 0
+    assert serial_tallies == pooled_tallies
+    assert serial_tallies["campaign_games_played"] == 16
     queries = lambda c: c.get("ball_cache_hits", 0) + c.get("ball_cache_misses", 0)  # noqa: E731
-    assert queries(serial_cache) == queries(parallel_cache) > 0
-    assert serial_rest["reveals_total"] > 0
+    assert queries(serial_cache) == queries(pooled_cache) > 0
     serial_wall = serial["histograms"]["game_wall_seconds"]
-    parallel_wall = parallel["histograms"]["game_wall_seconds"]
-    assert serial_wall["count"] == parallel_wall["count"] == 16
-
-
-def test_parallel_journal_merges_shards(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    rows = run_tournament(locality=1, workers=2, journal_path=path)
-    journal = SweepJournal(path, JOURNAL_KEY_FIELDS)
-    assert len(journal) == len(rows) == 16
-    assert journal.shard_paths() == []  # all shards folded in and removed
-    assert {journal.key_of(e) for e in journal.load()} == {
-        (r.adversary, r.victim, r.locality) for r in rows
-    }
-
-
-def test_parallel_resume_skips_journaled_games(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    full = run_tournament(locality=1, workers=2, journal_path=path)
-
-    # Drop the journal down to the first 5 games (simulated kill), leave
-    # two more stranded in a worker shard.
-    journal = SweepJournal(path, JOURNAL_KEY_FIELDS)
-    entries = journal.load()
-    journal.clear()
-    for entry in entries[:5]:
-        journal.append(entry)
-    shard = journal.shard("stranded")
-    for entry in entries[5:7]:
-        shard.append(entry)
-
-    resumed = run_tournament(
-        locality=1, workers=2, journal_path=path, resume=True
-    )
-    assert resumed == full
-    assert len(SweepJournal(path, JOURNAL_KEY_FIELDS)) == 16
-    assert journal.shard_paths() == []
-
-
-def test_custom_portfolio_falls_back_to_serial():
-    """Closures can't cross a process boundary; workers>1 must still work."""
-    adversaries = {
-        name: entry
-        for name, entry in default_adversaries(1).items()
-        if name == "theorem1-grid"
-    }
-    victims = {"greedy": GreedyOnlineColorer}
-    rows = run_tournament(
-        locality=1, victims=victims, adversaries=adversaries, workers=4
-    )
-    assert len(rows) == 1
-    assert rows[0].won
-
-
-def test_parallel_sweep_precomputed_rows_short_circuit(tmp_path):
-    """Specs with precomputed rows are never replayed."""
-    specs = [
-        GameSpec("theorem1-grid", "greedy", 1, POLICY),
-        GameSpec("no-such-adversary", "greedy", 1, POLICY),
-    ]
-    sentinel = TournamentRow("no-such-adversary", "greedy", 1, True, "cached")
-    sweep = ParallelSweep(workers=1)
-    rows = sweep.run(specs, precomputed={1: sentinel})
-    assert rows[1] is sentinel
-    assert rows[0].adversary == "theorem1-grid"
-
-
-def test_worker_shards_use_distinct_files(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    journal = SweepJournal(path, JOURNAL_KEY_FIELDS)
-    spec = GameSpec("theorem1-grid", "greedy", 1, POLICY,
-                    journal_path=str(path))
-    play_spec(spec)
-    shards = journal.shard_paths()
-    assert len(shards) == 1
-    assert shards[0].endswith(f".shard-{os.getpid()}")
-    assert journal.merge_shards() == 1
-    assert journal.shard_paths() == []
-    assert len(journal) == 1
+    pooled_wall = pooled["histograms"]["game_wall_seconds"]
+    assert serial_wall["count"] == pooled_wall["count"] == 16

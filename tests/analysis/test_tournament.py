@@ -1,29 +1,24 @@
-"""Tests for the tournament harness."""
+"""Tests for the tournament: the pre-baked campaign and its rows."""
 
-from repro.analysis.tournament import (
-    TournamentRow,
-    clean_sweep,
-    default_adversaries,
-    default_victims,
-    run_tournament,
-)
-from repro.core.baselines import GreedyOnlineColorer
+from repro import api
+from repro.analysis.campaign import CampaignSpec
+from repro.analysis.tournament import TournamentRow, clean_sweep
 
 
 def test_defaults_shape():
-    assert set(default_victims()) == {"greedy", "akbari", "local-canonical"}
-    assert len(default_adversaries(1)) == 6
+    spec = CampaignSpec.tournament(locality=1)
+    assert set(spec.victims) == {"greedy", "akbari", "local-canonical"}
+    assert len(spec.adversaries) == 6
 
 
 def test_subset_tournament_clean_sweep():
     """A reduced tournament (fast) must still be a clean sweep."""
-    adversaries = {
-        name: play
-        for name, play in default_adversaries(1).items()
-        if name in ("theorem1-grid", "theorem2-torus")
-    }
-    victims = {"greedy": GreedyOnlineColorer}
-    rows = run_tournament(locality=1, victims=victims, adversaries=adversaries)
+    spec = CampaignSpec(
+        adversaries=("theorem1-grid", "theorem2-torus"),
+        victims=("greedy",),
+        localities=(1,),
+    )
+    rows = api.run_tournament(api.SubmitRequest(spec=spec))
     assert len(rows) == 2
     assert clean_sweep(rows)
     assert all(isinstance(row, TournamentRow) for row in rows)

@@ -96,7 +96,6 @@ def test_external_sigkill_of_one_worker_does_not_hang(tmp_path):
         + env.get("PYTHONPATH", "")
     )
     env.pop("REPRO_CHAOS", None)
-    env.pop("REPRO_WORKERS", None)
     # Pin the fork start method: the /proc children walk below assumes
     # workers are direct children of the campaign process, which is not
     # true under the default forkserver (workers are the *server's*

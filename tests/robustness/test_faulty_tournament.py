@@ -1,16 +1,16 @@
 """Acceptance: every faulty victim loses — by forfeit, never by crash —
 against every adversary, while the honest sweep stays clean."""
 
-from repro.analysis.tournament import (
+from dataclasses import replace
+
+from repro import api
+from repro.analysis.campaign import CampaignSpec
+from repro.registry import (
+    DEFAULT_ADVERSARIES,
+    DEFAULT_VICTIMS,
+    FAULTY_VICTIM_NAMES,
     FIXED_VICTIM,
-    clean_sweep,
-    default_adversaries,
-    default_victims,
-    honest_rows,
-    run_tournament,
 )
-from repro.robustness.faults import faulty_victims
-from repro.robustness.supervisor import GamePolicy
 
 
 def test_full_faulty_sweep_completes_with_structured_forfeits():
@@ -20,21 +20,19 @@ def test_full_faulty_sweep_completes_with_structured_forfeits():
     forfeit row with a machine-readable reason, and the honest games are
     still a clean sweep.
     """
-    rows = run_tournament(
-        locality=1,
-        include_faulty=True,
-        policy=GamePolicy(timeout=2.0),
+    spec = replace(
+        CampaignSpec.tournament(locality=1, include_faulty=True), timeout=2.0
     )
-    adversaries = default_adversaries(1)
-    n_adversaries = len(adversaries)
+    rows = api.run_tournament(api.SubmitRequest(spec=spec))
+    n_adversaries = len(DEFAULT_ADVERSARIES)
     n_fixed = 1  # theorem5 plays once, against its built-in victim
-    n_honest = len(default_victims())
-    n_faulty = len(faulty_victims())
+    n_honest = len(DEFAULT_VICTIMS)
+    n_faulty = len(FAULTY_VICTIM_NAMES)
     expected = (n_adversaries - n_fixed) * (n_honest + n_faulty) + n_fixed
     assert len(rows) == expected
 
-    honest = honest_rows(rows)
-    assert clean_sweep(honest)
+    honest = api.honest_rows(rows)
+    assert api.clean_sweep(honest)
     assert not any(row.forfeit for row in honest)
 
     faulty = [row for row in rows if row.victim.startswith("faulty-")]
@@ -74,12 +72,10 @@ def test_full_faulty_sweep_completes_with_structured_forfeits():
 
 def test_fixed_victim_game_plays_once():
     """Theorem 5 is not re-run per victim: one game, one row."""
-    adversaries = {
-        name: entry
-        for name, entry in default_adversaries(1).items()
-        if name == "theorem5-reduction"
-    }
-    rows = run_tournament(locality=1, adversaries=adversaries)
+    spec = CampaignSpec(
+        adversaries=("theorem5-reduction",), localities=(1,)
+    )
+    rows = api.run_tournament(api.SubmitRequest(spec=spec))
     assert len(rows) == 1
     assert rows[0].victim == FIXED_VICTIM
     assert rows[0].won and not rows[0].forfeit

@@ -1,108 +1,9 @@
-"""Crash-safe tournaments: journaling and resume-after-kill."""
+"""The kill-safe JSON-lines journal primitive (SweepJournal), which the
+result store's shards, the run ledger, and trace merging build on."""
 
 import json
 
-from repro.analysis.tournament import (
-    JOURNAL_KEY_FIELDS,
-    default_adversaries,
-    run_tournament,
-)
-from repro.core.baselines import GreedyOnlineColorer
-from repro.robustness.faults import CrashingAlgorithm
 from repro.robustness.journal import SweepJournal
-from repro.robustness.supervisor import GamePolicy
-
-
-def small_lineup():
-    """Two adversaries x two victims = four fast games."""
-    adversaries = {
-        name: entry
-        for name, entry in default_adversaries(1).items()
-        if name in ("theorem1-grid", "theorem2-torus")
-    }
-    victims = {
-        "greedy": GreedyOnlineColorer,
-        "faulty-crash": lambda: CrashingAlgorithm(trigger_step=3),
-    }
-    return adversaries, victims
-
-
-def counting(adversaries, counter):
-    """Wrap each adversary entry to count actual plays."""
-    def wrap(name, entry):
-        def play(victim):
-            counter[name] = counter.get(name, 0) + 1
-            return entry(victim)
-        return play
-
-    return {name: wrap(name, entry) for name, entry in adversaries.items()}
-
-
-def test_journal_records_every_game(tmp_path):
-    adversaries, victims = small_lineup()
-    path = tmp_path / "sweep.jsonl"
-    rows = run_tournament(
-        locality=1, victims=victims, adversaries=adversaries,
-        policy=GamePolicy(timeout=10.0), journal_path=path,
-    )
-    journal = SweepJournal(path, JOURNAL_KEY_FIELDS)
-    entries = journal.load()
-    assert len(entries) == len(rows) == 4
-    assert {journal.key_of(e) for e in entries} == {
-        (r.adversary, r.victim, r.locality) for r in rows
-    }
-
-
-def test_resume_replays_only_remaining_games(tmp_path):
-    """Kill a sweep mid-run; --resume must complete only the remainder."""
-    adversaries, victims = small_lineup()
-    path = tmp_path / "sweep.jsonl"
-    full = run_tournament(
-        locality=1, victims=victims, adversaries=adversaries,
-        policy=GamePolicy(timeout=10.0), journal_path=path,
-    )
-    assert len(full) == 4
-
-    # Simulate a kill after two completed games, mid-write of the third:
-    # keep two complete lines plus a truncated partial line.
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:2]) + "\n" + lines[2][:25])
-
-    counter = {}
-    resumed = run_tournament(
-        locality=1,
-        victims=victims,
-        adversaries=counting(adversaries, counter),
-        policy=GamePolicy(timeout=10.0),
-        journal_path=path,
-        resume=True,
-    )
-    # Full rectangle returned, but only the two unfinished games played.
-    assert len(resumed) == 4
-    assert sum(counter.values()) == 2
-    assert [
-        (r.adversary, r.victim) for r in resumed
-    ] == [(r.adversary, r.victim) for r in full]
-
-    # The journal now holds every game exactly once (partial line healed).
-    journal = SweepJournal(path, JOURNAL_KEY_FIELDS)
-    entries = journal.load()
-    assert len(entries) == 4
-    assert len({journal.key_of(e) for e in entries}) == 4
-
-    # Resuming a finished sweep plays nothing at all.
-    counter.clear()
-    again = run_tournament(
-        locality=1,
-        victims=victims,
-        adversaries=counting(adversaries, counter),
-        policy=GamePolicy(timeout=10.0),
-        journal_path=path,
-        resume=True,
-    )
-    assert len(again) == 4
-    assert counter == {}
-    assert len(SweepJournal(path, JOURNAL_KEY_FIELDS)) == 4
 
 
 def test_journal_skips_corrupt_lines(tmp_path):

@@ -1,7 +1,5 @@
 """Tests for the stable ``repro.api`` facade."""
 
-import warnings
-
 import pytest
 
 import repro.api as api
@@ -36,30 +34,6 @@ def test_verify_coloring_is_assert_proper():
     from repro.verify.coloring import assert_proper
 
     assert api.verify_coloring is assert_proper
-
-
-def test_deprecation_shims_warn_and_resolve():
-    from repro.analysis.executor import ParallelSweep
-    from repro.robustness.journal import SweepJournal
-
-    expected = {
-        "SweepJournal": SweepJournal,
-        "ParallelSweep": ParallelSweep,
-    }
-    for name, target in expected.items():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolved = getattr(api, name)
-        assert resolved is target
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert name in str(caught[0].message)
-
-
-def test_shims_appear_in_dir():
-    listing = dir(api)
-    assert "SweepJournal" in listing
-    assert "run_campaign" in listing
 
 
 def test_unknown_attribute_raises():
@@ -134,10 +108,23 @@ def test_run_campaign_typed_form_requirements(tmp_path):
         )
 
 
-def test_loose_kwargs_forms_warn_but_work(tmp_path):
-    with pytest.warns(DeprecationWarning, match="SubmitRequest"):
-        outcome = api.run_campaign(_tiny_spec(), tmp_path / "store")
-    assert outcome.total == 1
+def test_loose_kwargs_forms_raise_type_error(tmp_path):
+    """The loose call forms are gone: a bare spec or locality is refused
+    with an error naming the typed form, before any game plays."""
+    threshold = api.ThresholdSearchSpec(
+        adversaries=("theorem1-grid",), victims=("greedy",),
+        low=0, high=1, timeout=10.0,
+    )
+    calls = (
+        lambda: api.run_campaign(_tiny_spec(), tmp_path / "store"),
+        lambda: api.run_campaign(_tiny_spec(), tmp_path / "store", workers=2),
+        lambda: api.run_threshold_search(threshold, tmp_path / "store"),
+        lambda: api.run_tournament(1, workers=2),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="SubmitRequest"):
+            call()
+    assert not (tmp_path / "store").exists()
 
 
 def test_run_submission_dispatches_by_kind(tmp_path):
@@ -164,6 +151,27 @@ def test_run_tournament_typed_form(tmp_path):
         == [(r.adversary, r.victim, r.won) for r in rows]
     with pytest.raises(TypeError, match="SubmitRequest"):
         api.run_tournament("not-a-request")
+
+
+def test_run_tournament_refuses_a_short_row_list():
+    """A game that fails outside the supervisor has no row, so the
+    tournament raises instead of returning the rows that did play."""
+    from repro.registry import ADVERSARIES
+
+    @ADVERSARIES.register("test-broken-tournament")
+    def _broken(locality, **params):
+        raise RuntimeError("rigged to fail")
+
+    try:
+        spec = api.CampaignSpec(
+            adversaries=("theorem1-grid", "test-broken-tournament"),
+            victims=("greedy",),
+            timeout=10.0,
+        )
+        with pytest.raises(api.CampaignError, match="1 of 2 games failed"):
+            api.run_tournament(api.SubmitRequest(spec=spec, retries=0))
+    finally:
+        ADVERSARIES.unregister("test-broken-tournament")
 
 
 def test_row_page_pagination_math():

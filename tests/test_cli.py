@@ -223,12 +223,12 @@ def test_top_level_api_exports():
 
 
 def test_tournament_resume_without_journal_rejected(capsys):
-    """--resume with no --journal must fail loudly, not be ignored."""
-    code = main(["tournament", "--resume"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--resume" in err
-    assert "--journal" in err
+    """Sweeps resume from a campaign store, not a journal: a stale
+    --resume must fail loudly, not be ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["tournament", "--resume"])
+    assert exc.value.code == 2
+    assert "--resume" in capsys.readouterr().err
 
 
 def test_tournament_parallel_matches_serial_output(capsys, tmp_path):
@@ -239,6 +239,24 @@ def test_tournament_parallel_matches_serial_output(capsys, tmp_path):
     assert code == 0
     parallel_out = capsys.readouterr().out
     assert parallel_out == serial_out
+
+
+def test_tournament_serial_trace_reports_cache_hit_rate(capsys, tmp_path):
+    """The serial path folds every game's metrics into the trace's final
+    snapshot, and a rerun replaces the trace rather than appending."""
+    from repro.observability.trace import read_trace
+
+    trace = tmp_path / "t.jsonl"
+    for _ in range(2):
+        code = main(["tournament", "--locality", "1", "--trace", str(trace)])
+        assert code == 0
+    games = [r for r in read_trace(trace)
+             if r["type"] == "span-start" and r.get("kind") == "game"]
+    assert len(games) == 16
+    capsys.readouterr()
+    code = main(["stats", str(trace)])
+    assert code == 0
+    assert "ball cache hit rate:" in capsys.readouterr().out
 
 
 def test_tournament_workers_rejects_non_positive():
@@ -299,11 +317,12 @@ def test_campaign_run_resume_status(capsys, tmp_path):
 
 
 def test_campaign_rejects_journal_flag(capsys, tmp_path):
+    """Campaigns persist to --store; --journal is a usage error."""
     spec = _write_smoke_spec(tmp_path)
-    code = main(["campaign", "run", spec, "--store", str(tmp_path / "s"),
-                 "--journal", "j.jsonl"])
-    assert code == 2
-    assert "--store" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "run", spec, "--store", str(tmp_path / "s"),
+              "--journal", "j.jsonl"])
+    assert exc.value.code == 2
 
 
 def test_campaign_resume_needs_existing_store(capsys, tmp_path):
