@@ -872,7 +872,7 @@ def run_campaign(
     """
     campaign.validate()
     store = ResultStore(store_dir)
-    store.record_manifest(campaign.to_payload())
+    campaign_id = store.record_manifest(campaign.to_payload())
     previous_timers = None if timers is None else set_phase_timers(timers)
     registry = get_registry()
     phases_before = phase_attribution(registry.snapshot())
@@ -937,6 +937,7 @@ def run_campaign(
         store.record_run(
             _run_summary(
                 outcome,
+                campaign_id,
                 kind="sweep",
                 max_games=max_games,
                 wall_seconds=wall,
@@ -951,13 +952,17 @@ def run_campaign(
 
 def _run_summary(
     outcome: CampaignOutcome,
+    campaign_id: str,
     kind: str,
     max_games: Optional[int],
     wall_seconds: Optional[float] = None,
     phases: Optional[Dict[str, float]] = None,
 ) -> Dict[str, Any]:
+    # ``campaign`` is the spec's name, which two different specs may
+    # share; ``campaign_id`` (the manifest hash) identifies the spec.
     summary = {
         "campaign": outcome.name,
+        "campaign_id": campaign_id,
         "kind": kind,
         "total": outcome.total,
         "played": outcome.played,
@@ -1075,7 +1080,7 @@ def run_threshold_search(
     """
     spec.validate()
     store = ResultStore(store_dir)
-    store.record_manifest(spec.to_payload())
+    campaign_id = store.record_manifest(spec.to_payload())
     previous_timers = None if timers is None else set_phase_timers(timers)
     registry = get_registry()
     phases_before = phase_attribution(registry.snapshot())
@@ -1188,6 +1193,7 @@ def run_threshold_search(
         store.record_run(
             _run_summary(
                 outcome,
+                campaign_id,
                 kind="threshold",
                 max_games=max_games,
                 wall_seconds=wall,

@@ -21,6 +21,29 @@ name + parameters, victim name, locality, and the step budget (which
 changes outcomes deterministically).  The wall-clock timeout is
 deliberately excluded — it is a property of the machine, not the game —
 as are run-level settings (worker count, journal/trace paths).
+
+Reads tail the shards instead of re-scanning them.  Shards are
+append-only, so each :class:`ResultStore` instance keeps a cursor per
+shard — the offset just past the last newline it consumed and the rows
+those bytes hold — and every read parses only the bytes appended since
+the previous one.  A long-lived reader (the HTTP server holds one store
+for its whole life) thus pays for each row once, not once per request.
+Every read still returns exactly what a from-scratch scan would:
+
+* a trailing segment with no newline yet is parsed on every read and
+  never cached, so a torn tail is skipped until the repair newline of
+  the next append turns it into a complete (junk or valid) line;
+* a shard that vanishes or fails to open or read contributes nothing
+  and loses its cursor, and a new shard is read from byte 0;
+* a shard that was truncated, replaced or deleted and recreated is
+  re-read from byte 0.  The cursor detects this by the shard's inode
+  and by re-reading two small anchors: the shard's first line and the
+  last line it consumed (each extended over adjacent blank lines, which
+  hold no rows).  Inode numbers alone are not enough, because a file
+  recreated right after an unlink usually gets the freed inode back.
+  A rewrite that keeps the inode *and* reproduces both anchors at the
+  same offsets while changing bytes between them breaks the
+  append-only contract undetected; writers never do that.
 """
 
 from __future__ import annotations
@@ -29,10 +52,11 @@ import glob as _glob
 import hashlib
 import json
 import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+import threading
+from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Sequence
 
 from repro.observability.timers import phase_timer
-from repro.robustness.journal import SweepJournal
+from repro.robustness.journal import SweepJournal, parse_rows
 
 # Phase-attribution handles (repro.observability.timers): fsyncing a
 # result row and loading the shard index are two of the campaign phases
@@ -85,10 +109,17 @@ class ResultStore:
     Rows are plain dicts carrying at least :data:`HASH_FIELD`; loading
     tolerates partial trailing lines (a kill mid-write), exactly like
     the sweep journal whose machinery this reuses.
+
+    Reads go through per-shard cursors (see the module docstring) held
+    by this instance and guarded by one lock, so one instance may be
+    read from several threads at once.  The lock does not pickle: hand
+    worker processes :attr:`root`, never the store.
     """
 
     def __init__(self, root) -> None:
         self.root = os.fspath(root)
+        self._lock = threading.Lock()
+        self._cursors: Dict[str, _ShardCursor] = {}
 
     # ------------------------------------------------------------------
     # Rows
@@ -110,38 +141,64 @@ class ResultStore:
 
     def rows(self) -> List[Dict[str, Any]]:
         """Every complete row across all shards (file order, then append
-        order within a file).
+        order within a file) — exactly what :meth:`SweepJournal.load`
+        over each of :meth:`row_files` returns, parsing only the bytes
+        appended since this instance's previous read.
+
+        The list is new on every call, but the row dicts in it are
+        shared with earlier and later calls on this instance: treat them
+        as read-only (copy a row before changing it).
 
         Safe against concurrent writers (the serving path reads a store
         that a running campaign is appending to): the shard file list is
         snapshotted once before any file is opened, each shard is read
-        in a single pass (so a row is counted at most once per scan), a
-        shard that appears after the snapshot is simply picked up by the
-        next scan, and a shard that vanishes or errors mid-scan
-        contributes nothing rather than raising.  A concurrent append
-        can at worst leave a partial trailing line, which
-        :meth:`SweepJournal.load` already skips.
+        once per call (so a row is counted at most once), a shard that
+        appears after the snapshot is simply picked up by the next
+        call, and a shard that vanishes or errors mid-read contributes
+        nothing rather than raising.  A concurrent append can at worst
+        leave a partial trailing line, which is skipped until complete.
+        Concurrent readers on one instance take turns under its lock.
         """
         out: List[Dict[str, Any]] = []
-        with _T_STORE_INDEX:
-            for path in self.row_files():  # one snapshot, taken up front
+        with self._lock, _T_STORE_INDEX:
+            paths = self.row_files()  # one snapshot, taken up front
+            for gone in self._cursors.keys() - set(paths):
+                del self._cursors[gone]
+            for path in paths:
                 try:
-                    out.extend(SweepJournal(path, RESULT_KEY_FIELDS).load())
+                    out.extend(self._shard_rows(path))
                 except OSError:
-                    # Shard unlinked or unreadable between snapshot and
-                    # open — treat as not-yet-visible, like a row landing
-                    # just after the scan.
-                    continue
+                    # Unlinked or unreadable between snapshot and read —
+                    # treat as not-yet-visible, like a row landing just
+                    # after this read; the next read starts it afresh.
+                    self._cursors.pop(path, None)
         return out
 
-    def index(self) -> Dict[str, Dict[str, Any]]:
-        """Rows keyed by content address (later writes win).
+    def _shard_rows(self, path: str) -> List[Dict[str, Any]]:
+        """One shard's rows, advancing its cursor over the complete
+        lines appended since the last read (caller holds the lock)."""
+        with open(path, "rb") as handle:
+            inode = os.fstat(handle.fileno()).st_ino
+            cursor = self._cursors.get(path)
+            if cursor is None or not cursor.still_prefix(handle, inode):
+                cursor = self._cursors[path] = _ShardCursor(inode)
+            handle.seek(cursor.offset)
+            for line in handle:
+                if not line.endswith(b"\n"):  # the tail: never cached
+                    return cursor.rows + parse_rows(line)
+                cursor.consume(line)
+        return cursor.rows
 
-        One consistent scan: callers that need several views of the same
+    def index(self) -> Dict[str, Dict[str, Any]]:
+        """Rows keyed by content address (later writes win), built from
+        one :meth:`rows` call: a new dict each time, holding the same
+        shared, read-only row dicts.
+
+        One consistent read: callers that need several views of the same
         moment (progress counts plus quarantine lists, say) should take
         one ``index()`` and derive everything from it — see
         :meth:`quarantined`'s ``index`` parameter — instead of
-        re-scanning between reads while a writer is appending.
+        re-reading between views while a writer is appending.
         """
         return {
             row[HASH_FIELD]: row for row in self.rows() if HASH_FIELD in row
@@ -248,3 +305,45 @@ class ResultStore:
             os.path.join(self.root, "runs.jsonl"), ("seq",)
         )
         return ledger.load()
+
+
+class _ShardCursor:
+    """How far one shard has been read.
+
+    ``offset`` is just past the last newline consumed and ``rows`` holds
+    the rows of the bytes before it.  ``head`` (the bytes from offset 0
+    through the first non-blank line) and ``last`` (the bytes from
+    ``last_at`` to ``offset``: the last non-blank consumed line and any
+    blank lines after it) are the anchors :meth:`still_prefix` re-reads
+    to tell an append from a rewrite.
+    """
+
+    __slots__ = ("inode", "offset", "rows", "head", "last_at", "last")
+
+    def __init__(self, inode: int) -> None:
+        self.inode = inode
+        self.offset = 0
+        self.rows: List[Dict[str, Any]] = []
+        self.head = b""
+        self.last_at = 0
+        self.last = b""
+
+    def still_prefix(self, handle: BinaryIO, inode: int) -> bool:
+        """Whether the open shard still starts with the bytes consumed
+        so far (same inode, both anchors unchanged)."""
+        if inode != self.inode or handle.read(len(self.head)) != self.head:
+            return False
+        handle.seek(self.last_at)
+        return handle.read(len(self.last)) == self.last
+
+    def consume(self, line: bytes) -> None:
+        """Fold one complete line (ending in a newline), read at
+        :attr:`offset`, into the cursor."""
+        self.rows.extend(parse_rows(line))
+        if not self.head.strip():
+            self.head += line
+        if line.strip():
+            self.last_at, self.last = self.offset, line
+        else:
+            self.last += line
+        self.offset += len(line)

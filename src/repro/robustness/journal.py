@@ -22,6 +22,44 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 Key = Tuple[Any, ...]
 
 
+def parse_line(line: bytes) -> Optional[Dict[str, Any]]:
+    """The row one journal line holds, or ``None`` for a line readers
+    skip: blank, not JSON (a torn tail from a kill mid-write), or JSON
+    that is not an object.  A line that is not UTF-8 raises
+    :class:`UnicodeDecodeError`: writers emit ASCII, so such a file is
+    not a journal at all.
+
+    This is the one rule every journal reader applies, whether it reads
+    a whole file (:meth:`SweepJournal.load`) or only the bytes appended
+    since its last read (the result store's shard cursor).
+    """
+    text = line.decode("utf-8").strip()
+    if not text:
+        return None
+    try:
+        row = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return row if isinstance(row, dict) else None
+
+
+def parse_rows(data: bytes) -> List[Dict[str, Any]]:
+    """Every row in a run of journal bytes, in order.
+
+    Lines break at ``\\n``, ``\\r`` and ``\\r\\n``, the breaks text-mode
+    reading recognises, and each line goes through :func:`parse_line`.
+    Splitting a run just after a ``\\n`` and parsing the two halves
+    yields the same rows as parsing it whole, which is what lets a
+    reader parse a file incrementally.
+    """
+    rows: List[Dict[str, Any]] = []
+    for line in data.splitlines():
+        row = parse_line(line)
+        if row is not None:
+            rows.append(row)
+    return rows
+
+
 class SweepJournal:
     """Append-only JSON-lines journal of completed sweep rows.
 
@@ -47,23 +85,13 @@ class SweepJournal:
         """Every complete row on disk, in append order.
 
         Corrupt or partial trailing lines are skipped (they are the
-        signature of a kill mid-write, which resume must survive).
+        signature of a kill mid-write, which resume must survive); the
+        rule is :func:`parse_line`'s.
         """
         if not os.path.exists(self.path):
             return []
-        rows: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(row, dict):
-                    rows.append(row)
-        return rows
+        with open(self.path, "rb") as handle:
+            return [row for line in handle for row in parse_rows(line)]
 
     def completed(self) -> Dict[Key, Dict[str, Any]]:
         """Rows keyed by their resume key (later entries win).

@@ -712,9 +712,9 @@ class ColoringServer:
                 wall_seconds = job.wall_seconds
                 # The run ledger keeps the authoritative phase table
                 # for the finished run; surface the newest entry for
-                # this campaign.
+                # this campaign id (names are not unique across specs).
                 for run in reversed(self.store.runs()):
-                    if run.get("campaign") == spec.name:
+                    if run.get("campaign_id") == job_id:
                         phases = run.get("phases")
                         if run.get("wall_seconds") is not None:
                             wall_seconds = run["wall_seconds"]

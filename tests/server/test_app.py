@@ -372,3 +372,50 @@ def test_stored_campaign_visible_after_offline_run(tmp_path):
             await server.stop()
 
     asyncio.run(scenario())
+
+
+def test_handle_reports_its_own_run_when_names_repeat(tmp_path):
+    """Two different sweeps share a name: each handle's wall-clock and
+    phase table come from its own run-ledger entry, matched by campaign
+    id, not from the newest run of the same name."""
+    from repro.observability.timers import timed_phases
+
+    one_game = dict(TINY_SPEC, name="smoke", localities=[0])
+    twelve_games = dict(
+        TINY_SPEC,
+        name="smoke",
+        adversaries=[
+            {"name": "theorem1-grid", "params": {"level": level}}
+            for level in range(1, 7)
+        ],
+        victims=["greedy", "akbari"],
+        localities=[0],
+    )
+
+    async def scenario():
+        server = ColoringServer(tmp_path / "store", port=0, rate=0)
+        await server.start()
+        try:
+            handles = []
+            for spec in (one_game, twelve_games):
+                _, _, handle = await http(
+                    server.port, "POST", "/v1/campaigns", submit_payload(spec)
+                )
+                await wait_for_state(server.port, handle["id"])
+                handles.append(handle["id"])
+            return [
+                (await http(server.port, "GET", f"/v1/campaigns/{id_}"))[2]
+                for id_ in handles
+            ]
+        finally:
+            await server.stop()
+
+    with timed_phases():
+        first, second = asyncio.run(scenario())
+    runs = ResultStore(tmp_path / "store").runs()  # in submission order
+    assert (first["total"], second["total"]) == (1, 12)
+    assert runs[0]["wall_seconds"] != runs[1]["wall_seconds"]
+    for handle, run in ((first, runs[0]), (second, runs[1])):
+        assert handle["wall_seconds"] == run["wall_seconds"]
+        assert handle["phases"] == run["phases"]
+    assert [run["campaign_id"] for run in runs] == [first["id"], second["id"]]
