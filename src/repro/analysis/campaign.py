@@ -65,6 +65,7 @@ import random
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import (
     Any,
     Dict,
@@ -86,6 +87,7 @@ from repro.analysis.store import (
 from repro.analysis.tables import render_table
 from repro.analysis.worker_pool import (
     SupervisedWorkerPool,
+    WorkItem,
     _error_entry,
 )
 from repro.observability.export import write_live_status
@@ -402,6 +404,21 @@ class CampaignSpec:
                     )
         return specs
 
+    @cached_property
+    def digests(self) -> Tuple[str, ...]:
+        """The content address of every expanded game, in expansion
+        order: ``tuple(hash_of(g) for g in self.expand())``.
+
+        Computed on first access and kept on this spec object.  That is
+        sound because the spec is frozen and a game's address is a pure
+        function of its payload — the trace path is not part of it, so
+        ``expand(trace_path=...)`` yields the same addresses, and
+        :func:`dataclasses.replace` builds a new spec with its own.
+        Only addresses are kept, never rows: every reader still looks
+        them up in the store, so rows that land later show up.
+        """
+        return tuple(hash_of(game) for game in self.expand())
+
     def validate(self) -> None:
         """Resolve every name now, so bad specs fail before any game."""
         for ref in self.adversaries:
@@ -677,24 +694,25 @@ class CampaignScheduler:
 
     def run(
         self,
-        specs: Sequence[GameSpec],
+        items: Sequence[WorkItem],
         max_games: Optional[int] = None,
     ) -> Tuple[Dict[str, Dict[str, Any]], int, List[Dict[str, Any]]]:
-        """Play every spec not already stored; returns
-        ``(played_rows_by_hash, deduped_count, errors)``.
+        """Play every ``(content hash, spec)`` item not already
+        stored; returns ``(played_rows_by_hash, deduped_count, errors)``.
 
+        The caller supplies each game's address (a sweep's come from
+        :attr:`CampaignSpec.digests`), so the scheduler hashes nothing.
         ``max_games`` caps the number of games *played* this call (not
         the deduped ones) — budgeted incremental runs; the store picks
         up where the budget stopped on the next call.
         """
         index = self.store.index()
         registry = get_registry()
-        work: List[Tuple[str, GameSpec]] = []
+        work: List[WorkItem] = []
         seen: set = set()
         deduped = 0
         with _T_SPEC_EXPAND:
-            for spec in specs:
-                digest = hash_of(spec)
+            for digest, spec in items:
                 if digest in index:
                     deduped += 1
                     continue
@@ -882,6 +900,7 @@ def run_campaign(
             specs = campaign.expand(trace_path=(
                 None if trace_path is None else os.fspath(trace_path)
             ))
+            digests = campaign.digests
         scheduler = CampaignScheduler(
             store,
             workers=1 if workers is None else workers,
@@ -896,7 +915,7 @@ def run_campaign(
         ) as span:
             try:
                 played, deduped, errors = scheduler.run(
-                    specs, max_games=max_games
+                    list(zip(digests, specs)), max_games=max_games
                 )
             except BaseException as exc:
                 # An exception escaping the scheduler is exactly the
@@ -916,12 +935,9 @@ def run_campaign(
             )
         _finish_trace(trace_path)
         index = store.index()
-        rows = {}
-        with _T_SPEC_EXPAND:
-            for spec in specs:
-                digest = hash_of(spec)
-                if digest in index:
-                    rows[digest] = index[digest]
+        rows = {
+            digest: index[digest] for digest in digests if digest in index
+        }
         wall = time.perf_counter() - started
         phases = phase_delta(
             phases_before, phase_attribution(registry.snapshot())
@@ -1099,6 +1115,11 @@ def run_threshold_search(
     combos = spec.combos()
     states = {combo: _Bisection(spec.low, spec.high) for combo in combos}
     probes = {combo: 0 for combo in combos}
+    # Instance sizes each combo's own probe rows report (adversaries
+    # may share a name and differ only in params).
+    sizes: Dict[Tuple[AdversaryRef, str], List[int]] = {
+        combo: [] for combo in combos
+    }
     played_total = 0
     deduped_total = 0
     errors: List[Dict[str, Any]] = []
@@ -1112,7 +1133,7 @@ def run_threshold_search(
             while True:
                 with _T_SPEC_EXPAND:
                     wave: List[
-                        Tuple[Tuple[AdversaryRef, str], int, GameSpec]
+                        Tuple[Tuple[AdversaryRef, str], int, WorkItem]
                     ] = []
                     for combo, state in states.items():
                         if state.done:
@@ -1123,13 +1144,12 @@ def run_threshold_search(
                             spec.game(ref, victim, locality),
                             trace_path=trace_path,
                         )
-                        wave.append((combo, locality, game))
+                        wave.append((combo, locality, (hash_of(game), game)))
                 if not wave or budget == 0:
                     break
-                wave_specs = [game for _, _, game in wave]
                 try:
                     played, deduped, wave_errors = scheduler.run(
-                        wave_specs, max_games=budget
+                        [item for _, _, item in wave], max_games=budget
                     )
                 except BaseException as exc:
                     dump_on_fault(
@@ -1146,13 +1166,14 @@ def run_threshold_search(
                 errors.extend(wave_errors)
                 index = store.index()
                 progressed = False
-                for combo, locality, game in wave:
-                    digest = hash_of(game)
+                for combo, locality, (digest, _game) in wave:
                     row = index.get(digest)
                     if row is None:
                         continue  # budget-capped or errored; retry next run
                     rows[digest] = row
                     probes[combo] += 1
+                    if row.get("n") is not None:
+                        sizes[combo].append(row["n"])
                     states[combo].feed(locality, survives=not row["won"])
                     progressed = True
                 if not progressed:
@@ -1174,7 +1195,7 @@ def run_threshold_search(
                 threshold=states[(ref, victim)].threshold,
                 probes=probes[(ref, victim)],
                 converged=states[(ref, victim)].done,
-                n=_combo_n(rows, ref, victim),
+                n=max(sizes[(ref, victim)], default=None),
             )
             for ref, victim in combos
         ]
@@ -1204,19 +1225,6 @@ def run_threshold_search(
     finally:
         if previous_timers is not None:
             set_phase_timers(previous_timers)
-
-
-def _combo_n(
-    rows: Mapping[str, Mapping[str, Any]], ref: AdversaryRef, victim: str
-) -> Optional[int]:
-    """The largest instance size this combo's probes reported."""
-    sizes = [
-        row.get("n")
-        for row in rows.values()
-        if row.get("adversary") == ref.name and row.get("victim") == victim
-        and row.get("n") is not None
-    ]
-    return max(sizes) if sizes else None
 
 
 def threshold_table(results: Sequence[ThresholdResult]) -> str:
@@ -1288,18 +1296,13 @@ def campaign_status(store_dir) -> Tuple[List[CampaignStatus], List[Dict[str, Any
             )
             continue
         if isinstance(campaign, CampaignSpec):
-            specs = campaign.expand()
-            covered = [
-                index[hash_of(spec)]
-                for spec in specs
-                if hash_of(spec) in index
-            ]
+            covered = covered_rows(campaign, index)
             statuses.append(
                 CampaignStatus(
                     name=campaign.name,
                     kind="sweep",
                     done=len(covered),
-                    total=len(specs),
+                    total=len(campaign.digests),
                     quarantined=sum(
                         1
                         for row in covered
@@ -1337,13 +1340,10 @@ def covered_rows(
     identically, and a resumed store yields byte-identical pages.
     """
     if isinstance(campaign, CampaignSpec):
-        rows: List[Dict[str, Any]] = []
-        for spec in campaign.expand():
-            row = index.get(hash_of(spec))
-            if row is not None:
-                rows.append(row)
-        return rows
-    rows = []
+        return [
+            index[digest] for digest in campaign.digests if digest in index
+        ]
+    rows: List[Dict[str, Any]] = []
     for ref, victim in campaign.combos():
         state = _Bisection(campaign.low, campaign.high)
         while not state.done:

@@ -121,7 +121,9 @@ class CampaignJob:
     history (capped at :data:`EVENT_HISTORY`), ``subscribers`` the live
     queues.  Store-derived progress is *not* cached here; handles are
     rebuilt from the store on every status read so they are honest
-    under concurrent writers.
+    under concurrent writers.  The finished run's ``wall_seconds`` and
+    ``phases`` are kept: they come from its run-ledger entry, read once
+    when the run returns, and a ledger entry never changes.
     """
 
     id: str
@@ -131,6 +133,7 @@ class CampaignJob:
     outcome: Any = None
     results: Any = None
     wall_seconds: Optional[float] = None
+    phases: Optional[Dict[str, float]] = None
     seq: int = 0
     events: List[Dict[str, Any]] = field(default_factory=list)
     subscribers: List["asyncio.Queue[Any]"] = field(default_factory=list)
@@ -294,7 +297,7 @@ class ColoringServer:
         started = time.monotonic()
         error: Optional[BaseException] = None
         try:
-            results, outcome = await self._loop.run_in_executor(
+            results, outcome, run = await self._loop.run_in_executor(
                 self._runner, self._run_job, job
             )
         except Exception as exc:  # noqa: BLE001 - job failure, not server
@@ -321,6 +324,12 @@ class ColoringServer:
             job.results = results
             job.outcome = outcome
             job.wall_seconds = time.monotonic() - started
+            if run is not None:
+                # The run ledger keeps the authoritative wall-clock and
+                # phase table for the finished run.
+                job.phases = run.get("phases")
+                if run.get("wall_seconds") is not None:
+                    job.wall_seconds = run["wall_seconds"]
             job.state = "done"
             self.registry.inc("server_jobs_done")
             self._publish(job, "done", {
@@ -332,12 +341,23 @@ class ColoringServer:
             })
         self._close_subscribers(job)
 
-    def _run_job(self, job: CampaignJob) -> Tuple[Any, Any]:
-        """Runs on the one-thread pool: the blocking campaign itself."""
+    def _run_job(
+        self, job: CampaignJob
+    ) -> Tuple[Any, Any, Optional[Dict[str, Any]]]:
+        """Runs on the one-thread pool: the blocking campaign itself,
+        then one read of the run ledger for the run's own entry — the
+        newest one with this campaign id (names are not unique across
+        specs).  Returns ``(results, outcome, entry or None)``."""
         options: Dict[str, Any] = {}
         if self.trace_path is not None:
             options["trace_path"] = self.trace_path
-        return run_submission(job.request, self.store.root, **options)
+        results, outcome = run_submission(
+            job.request, self.store.root, **options
+        )
+        for run in reversed(self.store.runs()):
+            if run.get("campaign_id") == job.id:
+                return results, outcome, run
+        return results, outcome, None
 
     async def _watch_live(self, job: CampaignJob) -> None:
         """Poll the scheduler's ``live.json`` while the job runs and
@@ -656,7 +676,12 @@ class ColoringServer:
 
     def _spec_for(self, job_id: str):
         """The campaign spec behind an id: a live job's, else the store
-        manifest's (campaigns from earlier lives), else None."""
+        manifest's (campaigns from earlier lives), else None.
+
+        A live job's spec is the same object on every request, so its
+        :attr:`~repro.analysis.campaign.CampaignSpec.digests` are
+        computed once per job; a manifest is re-parsed, and so
+        re-hashed, on every request."""
         job = self._jobs.get(job_id)
         if job is not None:
             return job.request.spec
@@ -688,7 +713,7 @@ class ColoringServer:
         if isinstance(spec, CampaignSpec):
             kind = "sweep"
             done = len(rows)
-            total = len(spec.expand())
+            total = len(spec.digests)
             detail = ""
         else:
             kind = "threshold"
@@ -710,15 +735,7 @@ class ColoringServer:
                 deduped = job.outcome.deduped
                 errors = len(job.outcome.errors)
                 wall_seconds = job.wall_seconds
-                # The run ledger keeps the authoritative phase table
-                # for the finished run; surface the newest entry for
-                # this campaign id (names are not unique across specs).
-                for run in reversed(self.store.runs()):
-                    if run.get("campaign_id") == job_id:
-                        phases = run.get("phases")
-                        if run.get("wall_seconds") is not None:
-                            wall_seconds = run["wall_seconds"]
-                        break
+                phases = job.phases
         return CampaignHandle(
             id=job_id,
             name=spec.name,

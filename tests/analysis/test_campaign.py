@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -394,6 +395,78 @@ def test_campaign_status_reports_progress(tmp_path):
     statuses, runs = campaign_status(tmp_path / "store")
     assert (statuses[0].done, statuses[0].total) == (8, 8)
     assert (runs[-1]["played"], runs[-1]["deduped"]) == (5, 3)
+
+
+def test_threshold_n_comes_from_the_combos_own_probes(tmp_path):
+    """Two combos whose adversaries share a name and differ only in
+    params each report their own instance size, not the largest one."""
+    spec = ThresholdSearchSpec(
+        adversaries=(
+            AdversaryRef.of({"name": "theorem1-grid", "params": {"level": 1}}),
+            AdversaryRef.of({"name": "theorem1-grid", "params": {"level": 4}}),
+        ),
+        victims=("greedy",),
+        low=0,
+        high=1,
+    )
+    results, outcome = run_threshold_search(spec, tmp_path / "store")
+    own_n = {
+        ref.label(): outcome.rows[hash_of(spec.game(ref, "greedy", 1))]["n"]
+        for ref in spec.adversaries
+    }
+    assert own_n["theorem1-grid[level=1]"] < own_n["theorem1-grid[level=4]"]
+    assert {result.adversary: result.n for result in results} == own_n
+
+
+# ----------------------------------------------------------------------
+# Content addresses: each game is hashed once per spec
+# ----------------------------------------------------------------------
+
+
+def test_digests_are_the_expansion_hashes(tmp_path):
+    spec = CampaignSpec(**SMALL)
+    for trace_path in (None, os.fspath(tmp_path / "trace.jsonl")):
+        assert spec.digests == tuple(
+            hash_of(game) for game in spec.expand(trace_path=trace_path)
+        )
+
+
+def test_replaced_spec_gets_its_own_digests():
+    spec = CampaignSpec(**SMALL)
+    before = spec.digests
+    moved = replace(spec, localities=(2, 3))
+    assert moved.digests == tuple(hash_of(game) for game in moved.expand())
+    assert set(moved.digests).isdisjoint(before)
+    assert spec.digests == before
+
+
+def test_run_campaign_hashes_each_game_once(tmp_path, hash_calls):
+    spec = CampaignSpec(**SMALL)
+    outcome = run_campaign(spec, tmp_path / "store")
+    assert outcome.played == 8
+    assert len(hash_calls) == 8
+    # A resume with the same spec object reuses its digests.
+    again = run_campaign(spec, tmp_path / "store")
+    assert (again.played, again.deduped) == (0, 8)
+    assert len(hash_calls) == 8
+
+
+def test_threshold_search_hashes_each_probe_once(tmp_path, hash_calls):
+    spec = ThresholdSearchSpec(
+        adversaries=("theorem1-grid",), victims=("greedy", "akbari"),
+        low=0, high=2,
+    )
+    _results, outcome = run_threshold_search(spec, tmp_path / "store")
+    assert outcome.total == 2  # one decisive probe per combo
+    assert len(hash_calls) == outcome.total
+
+
+def test_campaign_status_hashes_each_game_once(tmp_path, hash_calls):
+    run_campaign(CampaignSpec(**SMALL), tmp_path / "store", max_games=3)
+    del hash_calls[:]
+    statuses, _runs = campaign_status(tmp_path / "store")
+    assert (statuses[0].done, statuses[0].total) == (3, 8)
+    assert len(hash_calls) == 8
 
 
 def test_backoff_delay_full_jitter_windows_and_cap():

@@ -128,7 +128,8 @@ def test_manifest_idempotent(tmp_path):
     assert digest_one == digest_two
     assert store.manifests() == [payload]
     path = os.path.join(store.root, f"manifest-{digest_one}.json")
-    assert json.load(open(path)) == payload
+    with open(path, "r", encoding="utf-8") as handle:
+        assert json.load(handle) == payload
 
 
 def test_run_ledger_sequences(tmp_path):

@@ -230,7 +230,7 @@ def test_poison_game_is_quarantined_and_never_replayed(tmp_path):
         chaos=ChaosPolicy.parse("kill:1.0"),
     )
     with scoped_registry() as registry:
-        rows, deduped, errors = scheduler.run(spec.expand())
+        rows, deduped, errors = scheduler.run(work_of(spec))
     assert not errors
     (digest,) = rows
     row = rows[digest]
@@ -244,7 +244,7 @@ def test_poison_game_is_quarantined_and_never_replayed(tmp_path):
 
     # Resume: the quarantine row dedupes — the poison game is not
     # replayed forever.
-    rows2, deduped2, errors2 = scheduler.run(spec.expand())
+    rows2, deduped2, errors2 = scheduler.run(work_of(spec))
     assert (rows2, deduped2, errors2) == ({}, 1, [])
 
 
@@ -283,7 +283,7 @@ def test_exhausted_restart_budget_degrades_to_serial(tmp_path):
         chaos=ChaosPolicy.parse("kill:1.0"),
     )
     with scoped_registry() as registry:
-        rows, deduped, errors = scheduler.run(spec.expand())
+        rows, deduped, errors = scheduler.run(work_of(spec))
     assert not errors
     assert len(rows) == 4
     snap = counters(registry)
@@ -316,7 +316,7 @@ def test_corrupt_result_write_reports_error_and_keeps_shard_parseable(
     scheduler = CampaignScheduler(
         store, workers=2, chaos=ChaosPolicy.parse("corrupt:1.0")
     )
-    rows, deduped, errors = scheduler.run(spec.expand())
+    rows, deduped, errors = scheduler.run(work_of(spec))
     assert rows == {} and deduped == 0
     assert len(errors) == 1
     assert "result store write failed" in errors[0]["error"]
@@ -324,7 +324,7 @@ def test_corrupt_result_write_reports_error_and_keeps_shard_parseable(
     assert store.index() == {}
 
     clean = CampaignScheduler(store, workers=2, chaos=None)
-    rows2, _deduped2, errors2 = clean.run(spec.expand())
+    rows2, _deduped2, errors2 = clean.run(work_of(spec))
     assert not errors2
     assert len(rows2) == 1 and len(store.index()) == 1
 
@@ -355,13 +355,13 @@ def test_chaos_run_matches_serial_run(tmp_path):
     scheduler = CampaignScheduler(
         store_chaos, workers=2, max_worker_restarts=16, chaos=policy
     )
-    rows, _deduped, errors = scheduler.run(spec.expand())
+    rows, _deduped, errors = scheduler.run(work_of(spec))
     assert not errors
 
     store_serial = ResultStore(tmp_path / "serial-store")
     serial_rows, _d, serial_errors = CampaignScheduler(
         store_serial, workers=1
-    ).run(spec.expand())
+    ).run(work_of(spec))
     assert not serial_errors
 
     chaos_index = store_chaos.index()
@@ -538,7 +538,7 @@ def test_heartbeats_gauges_and_live_status(tmp_path):
     store = ResultStore(tmp_path / "store")
     with scoped_registry() as registry:
         rows, _deduped, errors = CampaignScheduler(store, workers=2).run(
-            spec.expand()
+            work_of(spec)
         )
     assert not errors and len(rows) == 4
 
@@ -581,7 +581,7 @@ def test_quarantine_dumps_flight_recorder(tmp_path):
         chaos=ChaosPolicy.parse("kill:1.0"),
     )
     with scoped_registry():
-        rows, _deduped, errors = scheduler.run(spec.expand())
+        rows, _deduped, errors = scheduler.run(work_of(spec))
     assert not errors and len(rows) == 1
 
     dumps = find_flight_dumps(store.root)

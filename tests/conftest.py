@@ -55,3 +55,20 @@ def small_cylinder():
 def small_triangular():
     """A side-5 triangular grid (degenerate corners excluded)."""
     return TriangularGrid(5)
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Every game ``repro.analysis.campaign.hash_of`` hashes, in call
+    order (the name the benchmark's traced run wraps)."""
+    import repro.analysis.campaign as campaign_module
+
+    calls = []
+    real = campaign_module.hash_of
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(campaign_module, "hash_of", counting)
+    return calls

@@ -419,3 +419,131 @@ def test_handle_reports_its_own_run_when_names_repeat(tmp_path):
         assert handle["wall_seconds"] == run["wall_seconds"]
         assert handle["phases"] == run["phases"]
     assert [run["campaign_id"] for run in runs] == [first["id"], second["id"]]
+
+
+#: Six fast games: two victims at three localities.
+SIX_GAMES = dict(TINY_SPEC, victims=["greedy", "akbari"], localities=[0, 1, 2])
+
+
+async def page_all(port, campaign_id, limit=4):
+    """Every row of a campaign, fetched page by page."""
+    rows, offset = [], 0
+    while offset is not None:
+        status, _, page = await http(
+            port, "GET",
+            f"/v1/campaigns/{campaign_id}/rows?offset={offset}&limit={limit}",
+        )
+        assert status == 200
+        rows.extend(page["rows"])
+        offset = page["next_offset"]
+    return rows
+
+
+def test_live_job_status_and_pages_hash_nothing(tmp_path, hash_calls):
+    """A live job's spec hashes its games once; after that its status
+    polls and every page reuse the spec's digests."""
+
+    async def scenario():
+        server = ColoringServer(tmp_path / "store", port=0, rate=0)
+        await server.start()
+        try:
+            _, _, handle = await http(
+                server.port, "POST", "/v1/campaigns",
+                submit_payload(SIX_GAMES),
+            )
+            await wait_for_state(server.port, handle["id"])
+            hashed = len(hash_calls)
+            for _ in range(3):
+                status, _, polled = await http(
+                    server.port, "GET", f"/v1/campaigns/{handle['id']}"
+                )
+                assert status == 200
+                assert (polled["done"], polled["total"]) == (6, 6)
+            rows = await page_all(server.port, handle["id"])
+            return hashed, len(hash_calls), rows
+        finally:
+            await server.stop()
+
+    hashed, after, rows = asyncio.run(scenario())
+    assert len(rows) == 6
+    assert hashed >= 6
+    assert after == hashed
+
+
+def test_live_job_digests_never_hide_rows_that_land_later(tmp_path):
+    """Run a budget of 2 of 6 games, then resume with the live job's
+    own spec object, whose digests are already computed: the job's
+    next handle counts all 6, and its pages equal the covered rows of
+    a freshly parsed spec."""
+    from repro.analysis.campaign import (
+        campaign_from_dict,
+        covered_rows,
+        run_campaign,
+    )
+
+    async def scenario():
+        server = ColoringServer(tmp_path / "store", port=0, rate=0)
+        await server.start()
+        try:
+            _, _, handle = await http(
+                server.port, "POST", "/v1/campaigns",
+                submit_payload(SIX_GAMES, max_games=2),
+            )
+            campaign_id = handle["id"]
+            budgeted = await wait_for_state(server.port, campaign_id)
+            spec = server._jobs[campaign_id].request.spec
+            assert "digests" in vars(spec)  # computed before the resume
+            outcome = run_campaign(spec, tmp_path / "store")
+            assert (outcome.played, outcome.deduped) == (4, 2)
+            _, _, resumed = await http(
+                server.port, "GET", f"/v1/campaigns/{campaign_id}"
+            )
+            return budgeted, resumed, await page_all(server.port, campaign_id)
+        finally:
+            await server.stop()
+
+    budgeted, resumed, rows = asyncio.run(scenario())
+    assert (budgeted["done"], budgeted["total"]) == (2, 6)
+    assert (resumed["done"], resumed["total"]) == (6, 6)
+    fresh = campaign_from_dict(SIX_GAMES)
+    assert rows == covered_rows(fresh, ResultStore(tmp_path / "store").index())
+
+
+def test_finished_job_status_reads_no_run_ledger(tmp_path, monkeypatch):
+    """The finished run's ledger entry is read once, when the run
+    returns; status requests after that never re-parse the ledger."""
+    runs_calls = []
+    real_runs = ResultStore.runs
+
+    def counting_runs(self):
+        runs_calls.append(self.root)
+        return real_runs(self)
+
+    monkeypatch.setattr(ResultStore, "runs", counting_runs)
+
+    async def scenario():
+        server = ColoringServer(tmp_path / "store", port=0, rate=0)
+        await server.start()
+        try:
+            _, _, handle = await http(
+                server.port, "POST", "/v1/campaigns",
+                submit_payload(timers=True),
+            )
+            await wait_for_state(server.port, handle["id"])
+            del runs_calls[:]
+            handles = [
+                (await http(
+                    server.port, "GET", f"/v1/campaigns/{handle['id']}"
+                ))[2]
+                for _ in range(3)
+            ]
+            return handles, len(runs_calls)
+        finally:
+            await server.stop()
+
+    handles, ledger_reads = asyncio.run(scenario())
+    assert ledger_reads == 0
+    (run,) = real_runs(ResultStore(tmp_path / "store"))
+    for handle in handles:
+        assert handle["wall_seconds"] == run["wall_seconds"]
+        assert handle["phases"] == run["phases"]

@@ -86,6 +86,7 @@ def test_sigkill_server_resume_serves_from_store(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait()
+        proc.stdout.close()
 
     rows_before = sorted(
         row["spec_hash"] for row in ResultStore(store_dir).rows()
@@ -114,7 +115,10 @@ def test_sigkill_server_resume_serves_from_store(tmp_path):
         assert sorted(r["spec_hash"] for r in page["rows"]) == rows_before
     finally:
         proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == 0
+        try:
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.stdout.close()
 
     # The ledger across both lives: one played run, one zero-replay run.
     runs = ResultStore(store_dir).runs()
