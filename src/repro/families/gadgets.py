@@ -17,9 +17,9 @@ Key structural facts implemented and tested here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Edge, Graph
 
 GadgetNode = Tuple[int, int]
 ChainNode = Tuple[int, int, int]
@@ -32,17 +32,16 @@ class Gadget:
         if k < 2:
             raise ValueError(f"gadgets need k >= 2, got {k}")
         self.k = k
-        self.graph = Graph()
-        with self.graph.batch():
-            for i in range(k):
-                for j in range(k):
-                    self.graph.add_node((i, j))
-            for i in range(k):
-                for j in range(k):
-                    for i2 in range(k):
-                        for j2 in range(k):
-                            if i2 != i and j2 != j and (i, j) < (i2, j2):
-                                self.graph.add_edge((i, j), (i2, j2))
+        cells = [(i, j) for i in range(k) for j in range(k)]
+        self.graph = Graph(
+            nodes=cells,
+            edges=[
+                (u, v)
+                for u in cells
+                for v in cells
+                if v[0] != u[0] and v[1] != u[1] and u < v
+            ],
+        )
 
     def row(self, i: int) -> List[GadgetNode]:
         """Nodes of row ``i``."""
@@ -75,18 +74,23 @@ class GadgetChain:
             raise ValueError(f"chain length must be positive, got {length}")
         self.k = k
         self.length = length
-        self.graph = Graph()
-        with self.graph.batch():
-            for idx in range(length):
-                for i in range(k):
-                    for j in range(k):
-                        self.graph.add_node((idx, i, j))
-            for idx in range(length):
-                self._connect(idx, idx)
-                if idx + 1 < length:
-                    self._connect(idx, idx + 1)
+        self.graph = Graph(
+            nodes=[
+                (idx, i, j)
+                for idx in range(length)
+                for i in range(k)
+                for j in range(k)
+            ],
+            edges=self._edges(),
+        )
 
-    def _connect(self, a: int, b: int) -> None:
+    def _edges(self) -> Iterator[Edge]:
+        for idx in range(self.length):
+            yield from self._connect(idx, idx)
+            if idx + 1 < self.length:
+                yield from self._connect(idx, idx + 1)
+
+    def _connect(self, a: int, b: int) -> Iterator[Edge]:
         """Edges between gadgets ``a`` and ``b`` (or within one if a == b)."""
         k = self.k
         for i in range(k):
@@ -97,7 +101,7 @@ class GadgetChain:
                             continue
                         u, v = (a, i, j), (b, i2, j2)
                         if a != b or u < v:
-                            self.graph.add_edge(u, v)
+                            yield u, v
 
     @property
     def num_nodes(self) -> int:

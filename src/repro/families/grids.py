@@ -18,9 +18,9 @@ adversaries exploit (horizontal reflection, translations).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Edge, Graph
 
 GridNode = Tuple[int, int]
 
@@ -33,13 +33,10 @@ class _GridBase:
             raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.graph = Graph()
-        # One batch: the finished grid sits at generation 1, not O(n).
-        with self.graph.batch():
-            for i in range(rows):
-                for j in range(cols):
-                    self.graph.add_node((i, j))
-            self._add_edges()
+        self.graph = Graph(
+            nodes=[(i, j) for i in range(rows) for j in range(cols)],
+            edges=self._edges(),
+        )
 
     # Subclasses override to define wraparound behavior.
     def _wrap_row(self) -> bool:
@@ -48,17 +45,19 @@ class _GridBase:
     def _wrap_col(self) -> bool:
         raise NotImplementedError
 
-    def _add_edges(self) -> None:
+    def _edges(self) -> Iterator[Edge]:
+        wrap_row = self._wrap_row() and self.cols > 2
+        wrap_col = self._wrap_col() and self.rows > 2
         for i in range(self.rows):
             for j in range(self.cols):
                 if j + 1 < self.cols:
-                    self.graph.add_edge((i, j), (i, j + 1))
-                elif self._wrap_row() and self.cols > 2:
-                    self.graph.add_edge((i, j), (i, 0))
+                    yield (i, j), (i, j + 1)
+                elif wrap_row:
+                    yield (i, j), (i, 0)
                 if i + 1 < self.rows:
-                    self.graph.add_edge((i, j), (i + 1, j))
-                elif self._wrap_col() and self.rows > 2:
-                    self.graph.add_edge((i, j), (0, j))
+                    yield (i, j), (i + 1, j)
+                elif wrap_col:
+                    yield (i, j), (0, j)
 
     # ------------------------------------------------------------------
     # Node helpers

@@ -47,23 +47,20 @@ class Hierarchy:
             raise ValueError(f"the hierarchy starts at k = 2, got {k}")
         self.k = k
         self.base = SimpleGrid(rows, cols)
-        self.graph = Graph()
-        for node in self.base.graph.nodes():
-            self.graph.add_node((2, node))
-        for u, v in self.base.graph.edges():
-            self.graph.add_edge((2, u), (2, v))
-        # Augment layer by layer.  `frontier_edges` tracks E(G_m) so that a
-        # duplicate connects only to neighbors that existed in G_m.
+        nodes = [(2, node) for node in self.base.graph.nodes()]
+        edges = [((2, u), (2, v)) for u, v in self.base.graph.edges()]
+        graph = Graph(nodes, edges)
+        # Augment layer by layer: a duplicate connects only to neighbors
+        # that existed in G_m, so each layer reads them off G_m, built from
+        # the edges so far.  neighbors() fixes the edge order, and with it
+        # the final graph's iteration order, which game rows depend on.
         for layer in range(3, k + 1):
-            existing_nodes = list(self.graph.nodes())
-            neighbor_snapshot = {
-                node: list(self.graph.neighbors(node)) for node in existing_nodes
-            }
-            for node in existing_nodes:
+            for node in graph.nodes():
                 dup = (layer, node)
-                self.graph.add_edge(dup, node)
-                for nbr in neighbor_snapshot[node]:
-                    self.graph.add_edge(dup, nbr)
+                edges.append((dup, node))
+                edges.extend((dup, nbr) for nbr in graph.neighbors(node))
+            graph = Graph(nodes, edges)
+        self.graph = graph
 
     # ------------------------------------------------------------------
     # Node structure

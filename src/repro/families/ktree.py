@@ -15,7 +15,7 @@ clique), and the clique tree ``H`` whose nodes are the (k+1)-cliques.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Hashable, List, Sequence
+from typing import Callable, Dict, FrozenSet, Hashable, List, Sequence, Tuple
 
 from repro.graphs.graph import Graph
 
@@ -36,13 +36,8 @@ class KTree:
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         self.k = k
-        self.graph = Graph()
         initial = list(range(k + 1))
-        with self.graph.batch():
-            for u in initial:
-                for v in initial:
-                    if u < v:
-                        self.graph.add_edge(u, v)
+        self.graph = Graph(edges=_clique_edges(initial))
         self._canonical: Dict[Node, int] = {u: u for u in initial}
         # All (k+1)-cliques, in creation order; clique 0 is the root.
         self.cliques: List[FrozenSet[Node]] = [frozenset(initial)]
@@ -75,11 +70,17 @@ class KTree:
             for v in members:
                 if u != v and not self.graph.has_edge(u, v):
                     raise ValueError(f"attachment set is not a clique: {u!r} !~ {v!r}")
-        new = self._next_label
-        self._next_label += 1
+        new = self._admit(members)
         with self.graph.batch():
             for u in members:
                 self.graph.add_edge(new, u)
+        return new
+
+    def _admit(self, members: List[Node]) -> Node:
+        """Label, color and record a new node attached to the k-clique
+        ``members``, leaving the graph to the caller."""
+        new = self._next_label
+        self._next_label += 1
         used = {self._canonical[u] for u in members}
         free = [color for color in range(self.k + 1) if color not in used]
         self._canonical[new] = free[0]
@@ -95,12 +96,42 @@ class KTree:
         sub-clique of exactly one earlier (k+1)-clique, which holds for the
         generators in this module.
         """
-        h = Graph(nodes=range(len(self.cliques)))
-        for a in range(len(self.cliques)):
-            for b in range(a + 1, len(self.cliques)):
-                if len(self.cliques[a] & self.cliques[b]) == self.k:
-                    h.add_edge(a, b)
-        return h
+        count = len(self.cliques)
+        return Graph(
+            nodes=range(count),
+            edges=[
+                (a, b)
+                for a in range(count)
+                for b in range(a + 1, count)
+                if len(self.cliques[a] & self.cliques[b]) == self.k
+            ],
+        )
+
+
+def _clique_edges(members: Sequence[Node]) -> List[Tuple[Node, Node]]:
+    """Every edge of the clique on ``members``, in the order a nested
+    ``u < v`` loop visits them."""
+    return [(u, v) for u in members for v in members if u < v]
+
+
+def _grow(k: int, num_nodes: int, pick: Callable[[KTree], List[Node]]) -> KTree:
+    """A k-tree of ``num_nodes`` nodes whose every new node attaches to the
+    k-clique ``pick(tree)`` returns.
+
+    The attachments are chosen and recorded first and the graph is built
+    once at the end, so the finished tree sits at generation 1 — the same
+    graph :meth:`KTree.attach` would grow, element for element.
+    """
+    tree = KTree(k)
+    if num_nodes < k + 1:
+        raise ValueError(f"a k-tree needs at least k+1={k + 1} nodes")
+    edges = _clique_edges(range(k + 1))
+    while tree._next_label < num_nodes:
+        members = pick(tree)
+        new = tree._admit(members)
+        edges.extend((new, u) for u in members)
+    tree.graph = Graph(edges=edges)
+    return tree
 
 
 def deterministic_ktree(k: int, num_nodes: int) -> KTree:
@@ -110,25 +141,21 @@ def deterministic_ktree(k: int, num_nodes: int) -> KTree:
     long, thin k-tree — the worst case for locality experiments because
     its diameter is Θ(n/k).
     """
-    tree = KTree(k)
-    if num_nodes < k + 1:
-        raise ValueError(f"a k-tree needs at least k+1={k + 1} nodes")
-    while tree.num_nodes < num_nodes:
-        newest = tree.num_nodes - 1
-        tree.attach(list(range(newest, newest - k, -1)))
-    return tree
+    def newest(tree: KTree) -> List[Node]:
+        latest = tree._next_label - 1
+        return list(range(latest, latest - k, -1))
+
+    return _grow(k, num_nodes, newest)
 
 
 def random_ktree(k: int, num_nodes: int, seed: int = 0) -> KTree:
     """A random k-tree: each node attaches to a k-sub-clique of a random
     existing (k+1)-clique."""
-    tree = KTree(k)
-    if num_nodes < k + 1:
-        raise ValueError(f"a k-tree needs at least k+1={k + 1} nodes")
     rng = random.Random(seed)
-    while tree.num_nodes < num_nodes:
-        host = rng.choice(tree.cliques)
-        members = sorted(host, key=repr)
+
+    def random_face(tree: KTree) -> List[Node]:
+        members = sorted(rng.choice(tree.cliques), key=repr)
         drop = rng.randrange(len(members))
-        tree.attach([u for idx, u in enumerate(members) if idx != drop])
-    return tree
+        return [u for idx, u in enumerate(members) if idx != drop]
+
+    return _grow(k, num_nodes, random_face)

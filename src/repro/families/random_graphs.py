@@ -24,10 +24,9 @@ def random_tree(num_nodes: int, seed: int = 0) -> Graph:
     if num_nodes < 1:
         raise ValueError(f"a tree needs at least one node, got {num_nodes}")
     rng = random.Random(seed)
-    tree = Graph(nodes=[0])
-    for node in range(1, num_nodes):
-        tree.add_edge(node, rng.randrange(node))
-    return tree
+    return Graph(
+        nodes=[0], edges=[(node, rng.randrange(node)) for node in range(1, num_nodes)]
+    )
 
 
 def random_connected_bipartite(
@@ -44,16 +43,15 @@ def random_connected_bipartite(
     rng = random.Random(seed)
     left_nodes = [f"L{i}" for i in range(left)]
     right_nodes = [f"R{i}" for i in range(right)]
-    graph = Graph(nodes=left_nodes + right_nodes)
     # Spanning structure: connect each right node to a random left node,
     # and each left node (beyond the first) to a random right node.
-    for r_node in right_nodes:
-        graph.add_edge(r_node, rng.choice(left_nodes))
-    for l_node in left_nodes[1:]:
-        graph.add_edge(l_node, rng.choice(right_nodes))
-    for __ in range(extra_edges):
-        graph.add_edge(rng.choice(left_nodes), rng.choice(right_nodes))
-    return graph
+    edges = [(r_node, rng.choice(left_nodes)) for r_node in right_nodes]
+    edges += [(l_node, rng.choice(right_nodes)) for l_node in left_nodes[1:]]
+    edges += [
+        (rng.choice(left_nodes), rng.choice(right_nodes))
+        for __ in range(extra_edges)
+    ]
+    return Graph(nodes=left_nodes + right_nodes, edges=edges)
 
 
 def random_reveal_order(nodes: Sequence[Node], seed: int = 0) -> List[Node]:

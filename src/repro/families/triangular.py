@@ -43,13 +43,18 @@ class TriangularGrid:
             raise ValueError(f"side length must be positive, got {side}")
         self.side = side
         self.include_degenerate_corners = include_degenerate_corners
-        self.graph = Graph(nodes=self._iter_nodes())
-        for x, y in self._iter_nodes():
+        nodes = list(self._iter_nodes())
+        present = set(nodes)
+        self.graph = Graph(
+            nodes=nodes,
             # Right, up, and the (+1, +1) diagonal cover every edge once.
-            for dx, dy in ((1, 0), (0, 1), (1, 1)):
-                other = (x + dx, y + dy)
-                if other in self.graph:
-                    self.graph.add_edge((x, y), other)
+            edges=[
+                ((x, y), (x + dx, y + dy))
+                for x, y in nodes
+                for dx, dy in ((1, 0), (0, 1), (1, 1))
+                if (x + dx, y + dy) in present
+            ],
+        )
 
     def _iter_nodes(self) -> Iterator[TriNode]:
         skipped = (

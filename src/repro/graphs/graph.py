@@ -17,7 +17,8 @@ hot paths rely on (see ``docs/performance.md``):
   the nodes a mutation touched instead of flushing wholesale
   (:meth:`~Graph.changes_since`);
 * an order-independent **structural fingerprint** so caches can recognize
-  independently built but identical graphs (:attr:`~Graph.fingerprint`);
+  independently built but identical graphs (:attr:`~Graph.fingerprint`),
+  computed on first read and kept up to date from then on;
 * an O(1) edge counter and memoized per-node neighbor frozensets.
 """
 
@@ -77,9 +78,12 @@ class Graph:
         Optional iterable of 2-tuples.  Endpoints are added as nodes
         automatically.
 
-    Bulk construction through the constructor (or :meth:`add_edges`) is
-    coalesced via :meth:`batch`, so a freshly built graph sits at
-    generation 1 (0 if empty) instead of one generation per element.
+    The constructor fills the adjacency map in one pass and commits it
+    as one change: a freshly built graph sits at generation 1 (0 if
+    empty) with one ``"add"`` record over every node, or one ``"bulk"``
+    record past :data:`BATCH_TOUCH_LIMIT` nodes — the same state, down
+    to dict and neighbor-set iteration order, as adding every element
+    inside one :meth:`batch`.
     """
 
     __slots__ = (
@@ -99,24 +103,47 @@ class Graph:
     )
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()) -> None:
-        self._adj: Dict[Node, Set[Node]] = {}
-        self._generation = 0
-        self._num_edges = 0
+        adj: Dict[Node, Set[Node]] = {}
+        for node in nodes:
+            if node not in adj:
+                adj[node] = set()
+        num_edges = 0
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop on node {u!r} is not allowed")
+            nbrs_u = adj.get(u)
+            if nbrs_u is None:
+                nbrs_u = adj[u] = set()
+            nbrs_v = adj.get(v)
+            if nbrs_v is None:
+                nbrs_v = adj[v] = set()
+            if v not in nbrs_u:
+                nbrs_u.add(v)
+                nbrs_v.add(u)
+                num_edges += 1
+        self._adj = adj
+        self._num_edges = num_edges
         self._nbr_cache: Dict[Node, FrozenSet[Node]] = {}
         self._log: List[Tuple[int, str, Tuple[Node, ...]]] = []
         self._log_floor = 0
-        self._fp_xor = 0
-        self._fp_add = 0
+        if adj:
+            # Every node is touched, exactly as a batch() over the same
+            # elements would record it.
+            self._generation = 1
+            if len(adj) > BATCH_TOUCH_LIMIT:
+                self._log.append((1, "bulk", ()))
+            else:
+                self._log.append((1, "add", tuple(adj)))
+        else:
+            self._generation = 0
+        # Fingerprint halves; None until the first read computes them.
+        self._fp_xor: Optional[int] = None
+        self._fp_add: Optional[int] = None
         self._batch_depth = 0
         self._batch_mutated = False
         self._batch_removal = False
         self._batch_touched: Optional[Set[Node]] = None
         self._csr = None  # lazily compiled CSRView (see repro.graphs.csr)
-        with self.batch():
-            for node in nodes:
-                self.add_node(node)
-            for u, v in edges:
-                self.add_edge(u, v)
 
     # ------------------------------------------------------------------
     # Change accounting
@@ -145,14 +172,21 @@ class Graph:
             return
         self._log.append((self._generation, kind, nodes))
 
+    def _fold(self, token: int, sign: int) -> None:
+        """Add (``sign=1``) or remove (``sign=-1``) one node or edge token
+        from the fingerprint.  Callers skip it while the fingerprint has
+        not been read yet."""
+        self._fp_xor ^= token
+        self._fp_add = (self._fp_add + sign * token) & _FP_MASK
+
     @contextmanager
     def batch(self):
         """Coalesce a block of mutations into one generation bump.
 
-        Family builders wrap their construction loops in
-        ``with graph.batch():`` so building an n-node grid costs one
-        generation (and one change-log record) instead of O(n).  Blocks
-        nest; only the outermost exit commits.  A block that performed no
+        Code that grows an existing graph by many elements wraps the loop
+        in ``with graph.batch():`` so the growth costs one generation (and
+        one change-log record) instead of one per element.  Blocks nest;
+        only the outermost exit commits.  A block that performed no
         structural change commits nothing.
 
         A block that raises after mutating still bumps the generation
@@ -215,8 +249,8 @@ class Graph:
         """Add ``node`` if not already present (idempotent)."""
         if node not in self._adj:
             self._adj[node] = set()
-            self._fp_xor ^= _node_token(node)
-            self._fp_add = (self._fp_add + _node_token(node)) & _FP_MASK
+            if self._fp_xor is not None:
+                self._fold(_node_token(node), 1)
             self._record("add", (node,))
 
     def add_edge(self, u: Node, v: Node) -> None:
@@ -230,27 +264,22 @@ class Graph:
         if u == v:
             raise ValueError(f"self-loop on node {u!r} is not allowed")
         adj = self._adj
-        created = None
+        live_fp = self._fp_xor is not None
         for node in (u, v):
             if node not in adj:
                 adj[node] = set()
-                token = _node_token(node)
-                self._fp_xor ^= token
-                self._fp_add = (self._fp_add + token) & _FP_MASK
-                created = True
+                if live_fp:
+                    self._fold(_node_token(node), 1)
         if v not in adj[u]:
             adj[u].add(v)
             adj[v].add(u)
             self._num_edges += 1
             self._nbr_cache.pop(u, None)
             self._nbr_cache.pop(v, None)
-            token = _edge_token(u, v)
-            self._fp_xor ^= token
-            self._fp_add = (self._fp_add + token) & _FP_MASK
+            if live_fp:
+                self._fold(_edge_token(u, v), 1)
             # One atomic change (and one record) even when the edge also
             # created its endpoints — they are covered by (u, v).
-            self._record("add", (u, v))
-        elif created:  # unreachable for a simple graph, kept for safety
             self._record("add", (u, v))
 
     def add_edges(self, edges: Iterable[Edge]) -> None:
@@ -268,16 +297,16 @@ class Graph:
             If ``node`` is not in the graph.
         """
         neighbors = self._adj.pop(node)
+        live_fp = self._fp_xor is not None
         for neighbor in neighbors:
             self._adj[neighbor].discard(node)
             self._nbr_cache.pop(neighbor, None)
-            token = _edge_token(node, neighbor)
-            self._fp_xor ^= token
-            self._fp_add = (self._fp_add - token) & _FP_MASK
+            if live_fp:
+                self._fold(_edge_token(node, neighbor), -1)
         self._num_edges -= len(neighbors)
         self._nbr_cache.pop(node, None)
-        self._fp_xor ^= _node_token(node)
-        self._fp_add = (self._fp_add - _node_token(node)) & _FP_MASK
+        if live_fp:
+            self._fold(_node_token(node), -1)
         self._record("remove", (node,))
 
     def remove_edge(self, u: Node, v: Node) -> None:
@@ -295,9 +324,8 @@ class Graph:
         self._num_edges -= 1
         self._nbr_cache.pop(u, None)
         self._nbr_cache.pop(v, None)
-        token = _edge_token(u, v)
-        self._fp_xor ^= token
-        self._fp_add = (self._fp_add - token) & _FP_MASK
+        if self._fp_xor is not None:
+            self._fold(_edge_token(u, v), -1)
         self._record("remove", (u, v))
 
     # ------------------------------------------------------------------
@@ -319,19 +347,37 @@ class Graph:
     def fingerprint(self) -> Tuple[int, int]:
         """An order-independent structural fingerprint of the labeled graph.
 
-        XOR and sum (mod 2^64) of per-node and per-edge hash tokens,
-        updated incrementally in O(1) per mutation.  Two graphs built in
+        XOR and sum (mod 2^64) of per-node and per-edge hash tokens.  The
+        first read computes it in one O(n + m) pass; from then on every
+        mutation updates it in O(1).  The program reads it only for
+        graphs a :class:`~repro.graphs.traversal.BallCache` serves, so
+        views and induced balls never pay for it.  Two graphs built in
         different orders from the same nodes and edges fingerprint
         identically; collisions between *different* labeled graphs require
         simultaneous 64-bit XOR and sum collisions at equal node and edge
         counts (see :meth:`structural_key`) and are vanishingly unlikely.
         """
+        if self._fp_xor is None:
+            self._compute_fingerprint()
         return (self._fp_xor, self._fp_add)
+
+    def _compute_fingerprint(self) -> None:
+        fp_xor = fp_add = 0
+        for node in self._adj:
+            token = _node_token(node)
+            fp_xor ^= token
+            fp_add += token
+        for u, v in self.edges():
+            token = _edge_token(u, v)
+            fp_xor ^= token
+            fp_add += token
+        self._fp_xor = fp_xor
+        self._fp_add = fp_add & _FP_MASK
 
     def structural_key(self) -> Tuple[int, int, int, int]:
         """``(num_nodes, num_edges, *fingerprint)`` — the key under which
         shared caches pool structurally identical graphs."""
-        return (len(self._adj), self._num_edges, self._fp_xor, self._fp_add)
+        return (len(self._adj), self._num_edges, *self.fingerprint)
 
     @property
     def num_nodes(self) -> int:
@@ -424,13 +470,14 @@ class Graph:
         are deterministic functions of the parent, not of set iteration.
         """
         requested = set(nodes)
-        keep = [node for node in self._adj if node in requested]
-        keepset = set(keep)
+        adj = self._adj
+        keep = [node for node in adj if node in requested]
         edge_list: List[Edge] = []
         seen: Set[Node] = set()
         for u in keep:
-            for v in self._adj[u]:
-                if v in keepset and v not in seen:
+            for v in adj[u]:
+                # v is a node of this graph, so "requested" means "kept".
+                if v in requested and v not in seen:
                     edge_list.append((u, v))
             seen.add(u)
         return Graph(nodes=keep, edges=edge_list)

@@ -76,6 +76,25 @@ def _l1(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def _is_induced_view(
+    view: Graph,
+    host: Graph,
+    seen: Set[HostNode],
+    id_of: Dict[HostNode, NodeId],
+) -> bool:
+    """Whether ``view`` is the host-induced subgraph :math:`G[seen]` with
+    every host node ``u`` renamed to ``id_of[u]``.
+
+    The same equality as ``host.induced_subgraph(seen).relabel(id_of) ==
+    view``, decided on the adjacency maps without building either graph.
+    """
+    host_adj = host.adjacency()
+    expected = {
+        id_of[u]: {id_of[v] for v in host_adj[u] if v in seen} for u in seen
+    }
+    return expected == view.adjacency()
+
+
 class _Fragment:
     """A connected-ish revealed region with its own integer frame."""
 
@@ -437,10 +456,9 @@ class FloatingGridInstance:
                     f"{sorted(recomputed)}"
                 )
             seen |= region
-        expected = self.host.graph.induced_subgraph(seen).relabel(
-            {c: self._host_id_of[c] for c in seen}
-        )
-        if expected != self.tracker.view_graph:
+        if not _is_induced_view(
+            self.tracker.view_graph, self.host.graph, seen, self._host_id_of
+        ):
             raise ConsistencyError("final view differs from host-induced subgraph")
 
 
@@ -691,8 +709,7 @@ class LateAutomorphismInstance:
                     f"host replay gives {sorted(recomputed)}"
                 )
             seen |= region
-        expected = self.host.induced_subgraph(seen).relabel(
-            {u: self._id_of_host[u] for u in seen}
-        )
-        if expected != self.tracker.view_graph:
+        if not _is_induced_view(
+            self.tracker.view_graph, self.host, seen, self._id_of_host
+        ):
             raise ConsistencyError("final view differs from host-induced subgraph")
