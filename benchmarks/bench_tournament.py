@@ -17,10 +17,10 @@ sweep per traversal backend records the ``dict``/``csr`` kernel
 trade-off.
 
 The ``campaign_scaling`` section exercises the supervised worker pool
-(chunked leases, warm forkserver workers, shared ball segment) at each
-worker count, recording per-leg wall-clock, speedup over the serial
-leg, store-index equality, a degenerate ``chunk_size=1`` leg, and the
-scheduling configuration the numbers were taken under.  Reported
+(chunked leases, warm forkserver workers) at each worker count,
+recording per-leg wall-clock, speedup over the serial leg, store-index
+equality, a degenerate ``chunk_size=1`` leg, and the scheduling
+configuration the numbers were taken under.  Reported
 speedup is bounded by the host's core count.  ``--check`` turns the
 report into a gate: rows must match serial, phase coverage must clear
 :data:`MIN_PHASE_COVERAGE`, the parent's ack-drain share must stay
@@ -41,13 +41,8 @@ from repro import api
 from repro.analysis.campaign import CampaignSpec
 from repro.analysis.executor import play_spec
 from repro.analysis.tables import render_table
-from repro.analysis.worker_pool import (
-    DEFAULT_MAX_CHUNK,
-    pool_start_context,
-    warm_pool_enabled,
-)
+from repro.analysis.worker_pool import DEFAULT_MAX_CHUNK, pool_start_context
 from repro.graphs.csr import get_graph_backend, set_graph_backend
-from repro.graphs.shared_pool import shared_balls_enabled
 from repro.graphs.traversal import BallCache
 from repro.observability.metrics import get_registry
 
@@ -155,8 +150,6 @@ def scheduling_settings(chunk_size=None):
     return {
         "chunk_size": "adaptive" if chunk_size is None else chunk_size,
         "max_chunk": DEFAULT_MAX_CHUNK,
-        "warm_pool": warm_pool_enabled(),
-        "shared_balls": shared_balls_enabled(),
         "start_method": pool_start_context().get_start_method(),
         "cpu_count": os.cpu_count(),
     }
@@ -412,7 +405,6 @@ def main(argv=None):
     print("\ncampaign pool scaling "
           f"(chunk={scaling['scheduling']['chunk_size']}, "
           f"start={scaling['scheduling']['start_method']}, "
-          f"warm={scaling['scheduling']['warm_pool']}, "
           f"cpus={scaling['scheduling']['cpu_count']}):")
     scaling_rows = [
         [w, f"{v['seconds']:.3f}", f"{v['speedup']:.2f}x"]

@@ -1,5 +1,5 @@
 """Supervised campaign worker pool: chunked leases, crash recovery,
-quarantine, warm workers, and a cross-process shared ball pool.
+quarantine, and warm workers.
 
 The PR-5 campaign scheduler fanned games out over bare ``ctx.Process``
 workers sharing one task queue.  That survives the failures *games*
@@ -34,15 +34,8 @@ fan-out with a supervised pool:
   :class:`WarmWorkerPool` at shutdown instead of being retired.  The
   next campaign in the same process adopts them with a ``configure``
   message, so ``pool-spawn`` is paid once per process, not per
-  campaign.  ``REPRO_WARM_POOL=0`` disables parking.
-* **Cross-process shared ball pool** — when shared memory is available
-  the parent creates a :class:`~repro.graphs.shared_pool.SharedBallPool`
-  segment, records a sidecar under the store root, and ships the
-  segment name to workers, whose
-  :class:`~repro.graphs.traversal.BallCache` then reuses balls computed
-  by *siblings*.  Segments are unlinked on shutdown and degradation,
-  and stale segments from a SIGKILLed run are swept (pid-liveness
-  keyed) before the next pool starts.
+  campaign.  Workers share no computed balls: each keeps its own
+  in-process :class:`~repro.graphs.traversal.BallCache` pool.
 * **Isolated channels** — each worker talks to the parent over its own
   duplex pipe; a torn write poisons only the dead worker's channel.
 * **Graceful degradation** — when the restart budget is exhausted the
@@ -89,15 +82,6 @@ from repro.analysis.store import (
     QUARANTINE_REASON,
     ResultStore,
 )
-from repro.graphs.shared_pool import (
-    SharedBallPool,
-    pid_alive,
-    publish_segment,
-    retire_segment,
-    set_active_pool,
-    shared_balls_enabled,
-    sweep_stale_segments,
-)
 from repro.observability.export import write_live_status
 from repro.observability.flightrec import FLIGHT, dump_on_fault
 from repro.observability.metrics import get_registry, scoped_registry
@@ -140,9 +124,6 @@ DEFAULT_MAX_CHUNK = 32
 #: Environment knob selecting the pool's multiprocessing start method
 #: (default ``forkserver``; ``fork`` restores the PR-5 behavior).
 POOL_START_ENV_VAR = "REPRO_POOL_START"
-
-#: Environment knob disabling the cross-campaign warm worker pool.
-WARM_POOL_ENV_VAR = "REPRO_WARM_POOL"
 
 #: Modules the forkserver preloads so every worker fork starts with the
 #: simulator, registry, and graph kernels already imported.
@@ -223,9 +204,17 @@ def chunk_target(pending: int, workers: int, max_chunk: int = DEFAULT_MAX_CHUNK)
     return max(1, min(max_chunk, -(-pending // (2 * max(1, workers)))))
 
 
-def warm_pool_enabled() -> bool:
-    """Whether retiring pools park healthy workers for reuse."""
-    return os.environ.get(WARM_POOL_ENV_VAR, "") != "0"
+def pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (signal-0 probe)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - alive, other user
+        return True
+    return True
 
 
 class WarmWorkerPool:
@@ -313,7 +302,7 @@ class WorkerConfig:
 
     Shipped at spawn and again on adoption from the warm pool, so a
     parked worker always serves the *current* campaign's store, chaos
-    policy, timer setting, and shared ball segment.
+    policy, and timer setting.
     """
 
     store_root: str
@@ -321,7 +310,6 @@ class WorkerConfig:
     backoff: float
     chaos: Optional[ChaosPolicy]
     timers_on: bool
-    segment: Optional[str]
 
 
 @dataclass
@@ -435,27 +423,14 @@ def _error_entry(digest: str, spec: GameSpec, detail: str) -> Dict[str, Any]:
 class _WorkerState:
     """The worker loop's mutable campaign configuration."""
 
-    __slots__ = (
-        "store", "retries", "backoff", "chaos",
-        "segment", "segment_name", "parent_pid",
-    )
+    __slots__ = ("store", "retries", "backoff", "chaos", "parent_pid")
 
     def __init__(self, parent_pid: int) -> None:
         self.store: Optional[ResultStore] = None
         self.retries = 1
         self.backoff = 0.0
         self.chaos: Optional[ChaosPolicy] = None
-        self.segment: Optional[SharedBallPool] = None
-        self.segment_name: Optional[str] = None
         self.parent_pid = parent_pid
-
-
-def _worker_detach_segment(state: _WorkerState) -> None:
-    if state.segment is not None:
-        set_active_pool(None)
-        state.segment.close()
-        state.segment = None
-        state.segment_name = None
 
 
 def _worker_apply_config(
@@ -466,14 +441,6 @@ def _worker_apply_config(
     state.retries = config.retries
     state.backoff = config.backoff
     state.chaos = config.chaos
-    if config.segment != state.segment_name:
-        _worker_detach_segment(state)
-        if config.segment is not None:
-            segment = SharedBallPool.attach(config.segment)
-            if segment is not None:
-                state.segment = segment
-                state.segment_name = config.segment
-                set_active_pool(segment)
     # Applied at boot *and* on warm adoption: a chaos slow start models
     # a slow worker bring-up, and adoption is this campaign's bring-up.
     if config.chaos is not None:
@@ -599,18 +566,15 @@ def _pool_worker(index: int, conn, config: WorkerConfig, parent_pid: int) -> Non
                 with _T_W_RECV:
                     while not conn.poll(1.0):
                         if not pid_alive(state.parent_pid):
-                            _worker_detach_segment(state)
                             return
                     item = conn.recv()
             except (EOFError, OSError):  # parent gone
-                _worker_detach_segment(state)
                 return
             if item is None:
                 try:
                     conn.send(("exit", index, None, None))
                 except OSError:  # pragma: no cover - parent gone
                     pass
-                _worker_detach_segment(state)
                 return
             kind = item[0]
             if kind == "configure":
@@ -621,17 +585,11 @@ def _pool_worker(index: int, conn, config: WorkerConfig, parent_pid: int) -> Non
                 worker_registry.reset()
                 _worker_apply_config(item[1], state, index)
                 continue
-            if kind == "park":
-                # Between campaigns: drop the segment attachment so the
-                # retiring pool can unlink it, then wait warm.
-                _worker_detach_segment(state)
-                continue
             if kind == "chunk":
                 served = _serve_chunk(
                     conn, item[1], state, worker_registry, games_served
                 )
                 if served is None:
-                    _worker_detach_segment(state)
                     return
                 games_served = served
 
@@ -730,7 +688,6 @@ class SupervisedWorkerPool:
         self._last_live = 0.0
         self._max_queue_depth = 0
         self._max_in_flight = 0
-        self._segment: Optional[SharedBallPool] = None
 
     # ------------------------------------------------------------------
     # Drain
@@ -751,51 +708,41 @@ class SupervisedWorkerPool:
         losses: Dict[str, int] = {}
         pool_size = min(self.workers, len(work))
         total = len(work)
-        self._create_segment(pool_size)
         FLIGHT.record("pool-start", workers=pool_size, games=total)
         fleet: List[_Worker] = [
             self._spawn(ctx, index) for index in range(pool_size)
         ]
 
         with TRACER.span("worker-pool", workers=pool_size) as span:
-            try:
-                while True:
-                    for worker in fleet:
-                        if worker.lease is None:
-                            self._dispatch(
-                                worker, pending, outcome.rows, attempts
-                            )
-                    busy = any(worker.lease is not None for worker in fleet)
-                    remaining = any(
-                        d not in outcome.rows for d, _ in pending
-                    )
-                    if not busy and not remaining:
-                        break
-                    if not fleet:
-                        # Every worker slot is gone and the budget with it.
-                        self._degrade(outcome, pending, fleet, registry)
-                        break
-                    self._drain_one(fleet, outcome, registry)
-                    if not self._sweep_health(
-                        ctx, fleet, pending, outcome, attempts, losses,
-                        registry,
-                    ):
-                        self._degrade(outcome, pending, fleet, registry)
-                        break
-                    with _T_LEASE_SWEEP:
-                        self._publish_live(
-                            fleet, pending, outcome, total, registry,
-                            done=False,
-                        )
+            while True:
+                for worker in fleet:
+                    if worker.lease is None:
+                        self._dispatch(worker, pending, outcome.rows, attempts)
+                busy = any(worker.lease is not None for worker in fleet)
+                remaining = any(d not in outcome.rows for d, _ in pending)
+                if not busy and not remaining:
+                    break
+                if not fleet:
+                    # Every worker slot is gone and the budget with it.
+                    self._degrade(outcome, pending, fleet, registry)
+                    break
+                self._drain_one(fleet, outcome, registry)
+                if not self._sweep_health(
+                    ctx, fleet, pending, outcome, attempts, losses, registry,
+                ):
+                    self._degrade(outcome, pending, fleet, registry)
+                    break
                 with _T_LEASE_SWEEP:
-                    self._shutdown(fleet)
-                    registry.set("campaign_queue_depth", self._max_queue_depth)
-                    registry.set("campaign_in_flight", self._max_in_flight)
                     self._publish_live(
-                        fleet, pending, outcome, total, registry, done=True
+                        fleet, pending, outcome, total, registry, done=False,
                     )
-            finally:
-                self._retire_segment()
+            with _T_LEASE_SWEEP:
+                self._shutdown(fleet)
+                registry.set("campaign_queue_depth", self._max_queue_depth)
+                registry.set("campaign_in_flight", self._max_in_flight)
+                self._publish_live(
+                    fleet, pending, outcome, total, registry, done=True
+                )
             FLIGHT.record(
                 "pool-finished",
                 games=len(outcome.rows),
@@ -876,27 +823,6 @@ class SupervisedWorkerPool:
         write_live_status(self.store.root, status)
 
     # ------------------------------------------------------------------
-    # Shared ball segment lifecycle
-    # ------------------------------------------------------------------
-    def _create_segment(self, pool_size: int) -> None:
-        """Create this run's shared ball segment (multi-worker pools
-        only) after sweeping segments orphaned by SIGKILLed runs."""
-        if pool_size < 2 or not shared_balls_enabled():
-            return
-        sweep_stale_segments(self.store.root)
-        segment = SharedBallPool.create()
-        if segment is None:
-            return  # shared memory unavailable: in-process pools only
-        self._segment = segment
-        publish_segment(self.store.root, segment)
-
-    def _retire_segment(self) -> None:
-        if self._segment is None:
-            return
-        retire_segment(self.store.root, self._segment)
-        self._segment = None
-
-    # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _worker_config(self) -> WorkerConfig:
@@ -906,15 +832,13 @@ class SupervisedWorkerPool:
             backoff=self.backoff,
             chaos=self.chaos,
             timers_on=phase_timers_enabled(),
-            segment=self._segment.name if self._segment is not None else None,
         )
 
     def _spawn(self, ctx, index: int) -> _Worker:
         config = self._worker_config()
-        if warm_pool_enabled():
-            adopted = self._adopt_warm(index, config)
-            if adopted is not None:
-                return adopted
+        adopted = self._adopt_warm(index, config)
+        if adopted is not None:
+            return adopted
         with _T_POOL_SPAWN:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
@@ -1298,9 +1222,6 @@ class SupervisedWorkerPool:
                 leftover.append((digest, spec))
                 seen.add(digest)
         pending.clear()
-        # The degraded serial path plays in *this* process: release the
-        # shared segment now (nobody shares with a serial run).
-        self._retire_segment()
         outcome.leftover = leftover
         registry.inc("campaign_pool_degradations")
         TRACER.event(
@@ -1320,11 +1241,9 @@ class SupervisedWorkerPool:
     def _shutdown(self, fleet: List[_Worker]) -> None:
         """Retire the surviving workers.
 
-        Healthy, lease-free workers are *parked* in the warm pool
-        (after a ``park`` message telling them to drop their segment
-        attachment, so the retiring pool can unlink it) for the next
-        campaign to adopt; everything else gets the sentinel/join/kill
-        treatment.
+        Healthy, lease-free workers are *parked* in the warm pool for
+        the next campaign to adopt; everything else gets the
+        sentinel/join/kill treatment.
         """
         cold: List[_Worker] = []
         for worker in fleet:
@@ -1333,12 +1252,7 @@ class SupervisedWorkerPool:
                 and not worker.broken
                 and worker.lease is None
             )
-            if healthy and warm_pool_enabled():
-                try:
-                    worker.conn.send(("park", None))
-                except (OSError, ValueError):
-                    cold.append(worker)
-                    continue
+            if healthy:
                 WARM_POOL.park(worker.process, worker.conn)
                 continue
             cold.append(worker)

@@ -77,11 +77,7 @@ from repro.analysis.campaign import (
 )
 from repro.analysis.executor import GameSpec, play_spec
 from repro.analysis.store import ResultStore, spec_hash
-from repro.analysis.worker_pool import (
-    shutdown_warm_pool,
-    warm_pool_enabled,
-    warm_pool_size,
-)
+from repro.analysis.worker_pool import shutdown_warm_pool, warm_pool_size
 from repro.analysis.tournament import (
     TournamentRow,
     clean_sweep,
@@ -145,7 +141,6 @@ __all__ = [
     "spec_hash",
     # warm worker pool (campaign workers kept alive between runs; see
     # repro.analysis.worker_pool)
-    "warm_pool_enabled",
     "warm_pool_size",
     "shutdown_warm_pool",
     # registries

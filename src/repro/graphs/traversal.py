@@ -16,7 +16,6 @@ from repro.graphs.csr import (  # noqa: F401  (re-exported for callers)
     set_graph_backend,
 )
 from repro.graphs.graph import Graph
-from repro.graphs import shared_pool as _shared_pool
 from repro.observability.metrics import BoundCounter, get_registry
 from repro.observability.timers import phase_timer
 
@@ -28,8 +27,6 @@ _BALL_EVICTIONS = BoundCounter("ball_cache_evictions")
 _SCOPED_FLUSHES = BoundCounter("ball_cache_scoped_flushes")
 _FULL_FLUSHES = BoundCounter("ball_cache_full_flushes")
 _BUCKET_REATTACHES = BoundCounter("ball_cache_bucket_reattach")
-_SHM_HITS = BoundCounter("ball_cache_shm_hits")
-_SHM_PUTS = BoundCounter("ball_cache_shm_puts")
 
 # Phase-attribution handles (repro.observability.timers): miss-path ball
 # extraction and cache re-sync are the graph layer's rows in the phase
@@ -45,8 +42,6 @@ _CACHE_COUNTERS = (
     "ball_cache_scoped_flushes",
     "ball_cache_full_flushes",
     "ball_cache_bucket_reattach",
-    "ball_cache_shm_hits",
-    "ball_cache_shm_puts",
 )
 
 _invalidation_policy = "scoped"
@@ -348,24 +343,10 @@ class BallCache:
             return cached
         self.misses += 1
         _BALL_MISSES.inc()
-        shared = None
         if self._policy == "scoped":
             self._reattach_bucket()
-            # Local miss: probe the cross-process shared segment (when a
-            # worker pool installed one) before paying the BFS.  Keys
-            # carry the structural fingerprint, so a pooled ball from a
-            # sibling worker's identical host is exactly this ball.
-            shared = _shared_pool.active_pool()
-            if shared is not None:
-                pooled = shared.get((self._key, key))
-                if pooled is not None:
-                    self._balls[key] = pooled
-                    _SHM_HITS.inc()
-                    return pooled
         result = frozenset(ball(self.graph, sources, radius))
         self._balls[key] = result
-        if shared is not None and shared.put((self._key, key), result):
-            _SHM_PUTS.inc()
         return result
 
     def stats(self) -> Dict[str, float]:
@@ -400,8 +381,6 @@ class BallCache:
             "scoped_flushes": registry.counter("ball_cache_scoped_flushes").value,
             "full_flushes": registry.counter("ball_cache_full_flushes").value,
             "bucket_reattaches": registry.counter("ball_cache_bucket_reattach").value,
-            "shm_hits": registry.counter("ball_cache_shm_hits").value,
-            "shm_puts": registry.counter("ball_cache_shm_puts").value,
         }
 
     @classmethod
@@ -421,9 +400,6 @@ class BallCache:
         for name in _CACHE_COUNTERS:
             registry.counter(name).value = 0
         cls.clear_shared_store()
-
-    #: Backwards-compatible alias for the pre-registry name.
-    reset_global_stats = reset
 
 
 def connected_components(graph: Graph) -> List[Set[Node]]:

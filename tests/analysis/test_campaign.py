@@ -278,6 +278,16 @@ def _store_snapshot(root):
     return ResultStore(root).index()
 
 
+def _subprocess_env():
+    """The environment with this checkout's ``src`` on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 @pytest.mark.slow
 def test_sigkill_mid_campaign_resumes_with_zero_replays(tmp_path):
     """SIGKILL a threshold-search campaign at a random point; the resumed
@@ -288,13 +298,9 @@ def test_sigkill_mid_campaign_resumes_with_zero_replays(tmp_path):
     reference_results, _ = run_threshold_search(_kill_spec(), tmp_path / "ref")
 
     store_dir = tmp_path / "killed"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.Popen(
-        [sys.executable, "-c", _KILL_SCRIPT, os.fspath(store_dir)], env=env
+        [sys.executable, "-c", _KILL_SCRIPT, os.fspath(store_dir)],
+        env=_subprocess_env(),
     )
     try:
         # Wait until at least one game is durably stored, then kill at a
@@ -328,6 +334,71 @@ def test_sigkill_mid_campaign_resumes_with_zero_replays(tmp_path):
     statuses, runs = campaign_status(store_dir)
     assert any(status.kind == "threshold" for status in statuses)
     assert runs[-1]["played"] + runs[-1]["deduped"] >= len(stored_before)
+
+
+_POOL_KILL_SCRIPT = """
+import sys
+from repro.analysis.campaign import CampaignSpec, run_campaign
+
+spec = CampaignSpec(
+    name="pool-kill-test",
+    adversaries=("theorem1-grid", "theorem2-cylinder"),
+    victims=("greedy", "akbari", "local-canonical"),
+    localities=(1, 2, 3, 4, 5),
+)
+run_campaign(spec, sys.argv[1], workers=2)
+"""
+
+#: Games in ``_POOL_KILL_SCRIPT``'s sweep.
+_POOL_KILL_GAMES = 30
+
+SHM_DIR = "/dev/shm"
+
+
+def _shm_entries_of(pid: int):
+    """``repro-*`` entries under /dev/shm whose name carries ``pid``."""
+    return [
+        name
+        for name in os.listdir(SHM_DIR)
+        if name.startswith("repro-") and str(pid) in name.split("-")
+    ]
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir(SHM_DIR), reason="no /dev/shm")
+def test_sigkill_mid_pool_leaves_no_shared_memory(tmp_path):
+    """SIGKILL a 2-worker sweep right after its first stored row, while
+    its pool is still playing: nothing under /dev/shm may outlive the
+    killed campaign process."""
+    store_dir = tmp_path / "killed"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _POOL_KILL_SCRIPT, os.fspath(store_dir)],
+        env=_subprocess_env(),
+    )
+    try:
+        # Rows are written by pool workers only, so the first stored row
+        # means the pool is up; kill at once, with most games unplayed.
+        deadline = time.time() + 60
+        while time.time() < deadline and proc.poll() is None:
+            if len(_store_snapshot(store_dir)) >= 1:
+                break
+            time.sleep(0.01)
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGKILL)
+        proc.wait()
+
+    assert proc.returncode == -signal.SIGKILL, "campaign exited before the kill"
+    stored = len(_store_snapshot(store_dir))
+    assert 1 <= stored < _POOL_KILL_GAMES, f"kill landed outside the pool: {stored}"
+
+    leaked = _shm_entries_of(proc.pid)
+    for name in leaked:  # never leave this test's own leak behind
+        try:
+            os.unlink(os.path.join(SHM_DIR, name))
+        except OSError:
+            pass
+    assert leaked == [], f"/dev/shm entries left by the killed run: {leaked}"
 
 
 # ----------------------------------------------------------------------

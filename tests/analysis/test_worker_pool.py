@@ -27,7 +27,6 @@ from repro.analysis.worker_pool import (
     chunk_target,
     quarantine_row,
     shutdown_warm_pool,
-    warm_pool_enabled,
     warm_pool_size,
 )
 from repro.observability.metrics import scoped_registry
@@ -498,9 +497,6 @@ def test_pinned_and_adaptive_chunking_match_serial_rows(tmp_path):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.skipif(
-    not warm_pool_enabled(), reason="warm pool disabled via REPRO_WARM_POOL"
-)
 def test_warm_pool_parks_and_adopts_across_campaigns(tmp_path):
     """A finished campaign parks its healthy workers; the next campaign
     adopts them (one configure message) instead of forking afresh."""

@@ -220,7 +220,5 @@ def test_ball_cache_counts_in_active_registry():
         assert BallCache.global_stats() == {
             "hits": 0, "misses": 0, "hit_rate": 0.0,
             "evictions": 0, "scoped_flushes": 0, "full_flushes": 0,
-            "bucket_reattaches": 0, "shm_hits": 0, "shm_puts": 0,
+            "bucket_reattaches": 0,
         }
-        # The pre-registry alias still works.
-        BallCache.reset_global_stats()
