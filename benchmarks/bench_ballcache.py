@@ -17,26 +17,21 @@ Measures what the incremental-invalidation rework of
    Dynamic-LOCAL workload shape): probe balls are re-queried between
    far-away edge insertions.  Scoped invalidation keeps the probes warm;
    wholesale recomputes everything after every mutation.
-4. **Extraction kernels** — uncached (miss-path) ball extraction timed
-   under both traversal backends (``dict`` vs ``csr``, see
-   ``docs/performance.md`` "The CSR kernel") per family, with a
-   cross-check that the kernels answer identically.
 
 Run as a script to emit machine-readable results::
 
     PYTHONPATH=src python benchmarks/bench_ballcache.py \
         --localities 1 2 3 --out BENCH_ballcache.json
 
-``--check`` exits non-zero unless scoped beats wholesale, rows stay
-byte-identical across passes and on a 2-worker campaign run, and CSR
-grid extraction clears its speedup floor — the CI benchmark smoke gate.
+``--check`` exits non-zero unless scoped beats wholesale (on the
+portfolio and on the dynamic bench) and rows stay byte-identical across
+passes and on a 2-worker campaign run — the CI benchmark smoke gate.
 """
 
 import argparse
 import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -45,44 +40,11 @@ from bench_tournament import serial_pass, sweep_specs  # noqa: E402
 from repro import api  # noqa: E402
 from repro.analysis.campaign import CampaignSpec  # noqa: E402
 from repro.analysis.tables import render_table  # noqa: E402
-from repro.families.grids import SimpleGrid, ToroidalGrid  # noqa: E402
-from repro.families.ktree import deterministic_ktree  # noqa: E402
-from repro.graphs.csr import (  # noqa: E402
-    HAVE_NUMPY,
-    csr_view,
-    get_graph_backend,
-    set_graph_backend,
-)
 from repro.graphs.graph import Graph  # noqa: E402
-from repro.graphs.traversal import (  # noqa: E402
-    BallCache,
-    ball,
-    set_invalidation_policy,
-)
+from repro.graphs.traversal import BallCache, set_invalidation_policy  # noqa: E402
 
 #: The acceptance bar for the scoped policy on the tournament portfolio.
 TARGET_HIT_RATE = 0.75
-
-#: The acceptance bar for CSR miss-path extraction on the grid family
-#: (dict_seconds / csr_seconds).  The 2x bar is what the tuple-row
-#: frontier sweep delivers on grid balls at reveal-loop scale; without
-#: numpy the large-frontier vectorized levels are unavailable, so the
-#: gate relaxes (the interpreter sweep still clears 2x at this workload
-#: on CPython 3.9+, but slower floors keep exotic hosts from flaking).
-MIN_CSR_SPEEDUP = 2.0
-MIN_CSR_SPEEDUP_NO_NUMPY = 1.5
-
-#: Miss-path extraction workloads: one per family, sized so the grid —
-#: the family the acceptance gate reads — runs at reveal-loop scale
-#: (hundreds of radius-T balls on a six-figure-edge graph).
-EXTRACTION_WORKLOADS = {
-    "grid": {"build": lambda: SimpleGrid(160, 160).graph,
-             "radius": 30, "stride": 307},
-    "torus": {"build": lambda: ToroidalGrid(64, 64).graph,
-              "radius": 16, "stride": 53},
-    "ktree": {"build": lambda: deterministic_ktree(2, 3000).graph,
-              "radius": 40, "stride": 29},
-}
 
 FAMILY_OF = {
     "theorem1-grid": "grid",
@@ -195,69 +157,6 @@ def run_dynamic_microbench(policy, nodes=400, rounds=60, probes=12):
         set_invalidation_policy(previous)
 
 
-def _time_extraction(graph, sources, radius, backend, repeats):
-    """Best-of-``repeats`` wall-clock for uncached balls under ``backend``."""
-    previous = set_graph_backend(backend)
-    try:
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for source in sources:
-                ball(graph, source, radius)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-    finally:
-        set_graph_backend(previous)
-
-
-def run_extraction(repeats=5):
-    """Miss-path ball extraction: dict kernel vs CSR kernel, per family.
-
-    Times the uncached :func:`~repro.graphs.traversal.ball` entry point
-    (exactly what a :class:`BallCache` miss pays) over a spread of
-    sources on each family, under both backends.  The one-off CSR
-    compile is timed separately — callers amortize it across every miss
-    on the structure — and the two kernels' answers are cross-checked on
-    a sample so a speedup can never come from a wrong ball.
-    """
-    profiles = {}
-    for family, spec in sorted(EXTRACTION_WORKLOADS.items()):
-        graph = spec["build"]()
-        radius = spec["radius"]
-        sources = list(graph.nodes())[:: spec["stride"]]
-        start = time.perf_counter()
-        view = csr_view(graph)
-        compile_seconds = time.perf_counter() - start
-        dict_seconds = _time_extraction(graph, sources, radius, "dict", repeats)
-        csr_seconds = _time_extraction(graph, sources, radius, "csr", repeats)
-        previous = set_graph_backend("dict")
-        try:
-            agree = all(
-                view.ball_labels([source], radius) == ball(graph, source, radius)
-                for source in sources[:5]
-            )
-        finally:
-            set_graph_backend(previous)
-        profiles[family] = {
-            "nodes": graph.num_nodes,
-            "edges": graph.num_edges,
-            "radius": radius,
-            "sources": len(sources),
-            "dict_seconds": dict_seconds,
-            "csr_seconds": csr_seconds,
-            "speedup": dict_seconds / csr_seconds if csr_seconds else None,
-            "csr_compile_seconds": compile_seconds,
-            "kernel": view.kernel,
-            "backends_agree": agree,
-        }
-    return {
-        "numpy": HAVE_NUMPY,
-        "repeats": repeats,
-        "families": profiles,
-    }
-
-
 def run_bench(localities=(1, 2, 3), passes=2):
     portfolio = {
         policy: run_portfolio(policy, localities, passes=passes)
@@ -271,29 +170,23 @@ def run_bench(localities=(1, 2, 3), passes=2):
         policy: run_dynamic_microbench(policy)
         for policy in ("wholesale", "scoped")
     }
-    extraction = run_extraction()
     scoped = portfolio["scoped"]
     return {
         "experiment": "ballcache-invalidation",
         "localities": list(localities),
         "passes_per_policy": passes,
-        "graph_backend": get_graph_backend(),
         "portfolio": portfolio,
         "families": families,
         "dynamic_microbench": dynamic,
-        "extraction": extraction,
         "hit_rate": scoped["hit_rate"],
         "target_hit_rate": TARGET_HIT_RATE,
         "meets_target": scoped["hit_rate"] >= TARGET_HIT_RATE,
-        "min_csr_speedup": (
-            MIN_CSR_SPEEDUP if extraction["numpy"] else MIN_CSR_SPEEDUP_NO_NUMPY
-        ),
         "rows_identical_to_serial": scoped["rows_identical_to_serial"]
         and portfolio["wholesale"]["rows_identical_to_serial"],
     }
 
 
-def check(report, min_csr_speedup=None):
+def check(report):
     """The CI gate; returns a list of failure messages (empty = pass)."""
     failures = []
     scoped = report["portfolio"]["scoped"]
@@ -309,22 +202,6 @@ def check(report, min_csr_speedup=None):
     dyn_wholesale = report["dynamic_microbench"]["wholesale"]
     if dyn_scoped["hit_rate"] <= dyn_wholesale["hit_rate"]:
         failures.append("scoped does not beat wholesale on the dynamic bench")
-    floor = min_csr_speedup if min_csr_speedup is not None else report["min_csr_speedup"]
-    extraction = report["extraction"]["families"]
-    grid = extraction["grid"]
-    if grid["speedup"] < floor:
-        failures.append(
-            f"CSR grid extraction speedup {grid['speedup']:.2f}x is below "
-            f"the {floor:.2f}x floor ({grid['kernel']} kernel)"
-        )
-    disagreeing = sorted(
-        family for family, entry in extraction.items()
-        if not entry["backends_agree"]
-    )
-    if disagreeing:
-        failures.append(
-            f"dict and CSR kernels disagree on: {', '.join(disagreeing)}"
-        )
     return failures
 
 
@@ -338,14 +215,7 @@ def main(argv=None):
     parser.add_argument("--out", default="BENCH_ballcache.json")
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero unless scoped beats wholesale with identical "
-             "rows and CSR extraction clears its speedup floor",
-    )
-    parser.add_argument(
-        "--min-csr-speedup", type=float, default=None,
-        help="override the CSR-vs-dict grid extraction floor "
-             f"(default {MIN_CSR_SPEEDUP} with numpy, "
-             f"{MIN_CSR_SPEEDUP_NO_NUMPY} without)",
+        help="exit non-zero unless scoped beats wholesale with identical rows",
     )
     args = parser.parse_args(argv)
 
@@ -373,34 +243,10 @@ def main(argv=None):
           f"(target {report['target_hit_rate']:.0%}: "
           f"{'met' if report['meets_target'] else 'MISSED'})")
     print(f"rows identical to serial: {report['rows_identical_to_serial']}")
-
-    extraction = report["extraction"]
-    print()
-    print(render_table(
-        ["family", "nodes", "radius", "dict (s)", "csr (s)", "speedup",
-         "kernel", "agree"],
-        [[family,
-          entry["nodes"],
-          entry["radius"],
-          f"{entry['dict_seconds']:.3f}",
-          f"{entry['csr_seconds']:.3f}",
-          f"{entry['speedup']:.2f}x",
-          entry["kernel"],
-          "yes" if entry["backends_agree"] else "NO"]
-         for family, entry in sorted(extraction["families"].items())],
-    ))
-    floor = (args.min_csr_speedup if args.min_csr_speedup is not None
-             else report["min_csr_speedup"])
-    grid_speedup = extraction["families"]["grid"]["speedup"]
-    print(f"CSR grid extraction speedup: {grid_speedup:.2f}x "
-          f"(floor {floor:.2f}x: "
-          f"{'met' if grid_speedup >= floor else 'MISSED'}; "
-          f"numpy={'yes' if extraction['numpy'] else 'no'}, "
-          f"active backend={report['graph_backend']})")
     print(f"wrote {args.out}")
 
     if args.check:
-        failures = check(report, min_csr_speedup=args.min_csr_speedup)
+        failures = check(report)
         for failure in failures:
             print(f"CHECK FAILED: {failure}", file=sys.stderr)
         return 1 if failures else 0

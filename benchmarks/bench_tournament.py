@@ -12,9 +12,7 @@ neighborhood-ball cache, emitting machine-readable results::
 A serial pass plays the full default portfolio at every requested
 locality inline (48 games for three localities) and profiles the
 ball cache — both the cold first pass (with per-reveal query/hit
-breakdowns) and the warm whole-session aggregate — and a cold serial
-sweep per traversal backend records the ``dict``/``csr`` kernel
-trade-off.
+breakdowns) and the warm whole-session aggregate.
 
 The ``campaign_scaling`` section exercises the supervised worker pool
 (chunked leases, warm forkserver workers) at each worker count,
@@ -42,7 +40,6 @@ from repro.analysis.campaign import CampaignSpec
 from repro.analysis.executor import play_spec
 from repro.analysis.tables import render_table
 from repro.analysis.worker_pool import DEFAULT_MAX_CHUNK, pool_start_context
-from repro.graphs.csr import get_graph_backend, set_graph_backend
 from repro.graphs.traversal import BallCache
 from repro.observability.metrics import get_registry
 
@@ -96,42 +93,6 @@ def serial_pass(specs):
         registry.merge(outcome.metrics)
         rows.append(outcome.row)
     return rows
-
-
-def run_backend_comparison(specs, repeats=3):
-    """Cold serial sweep wall-clock per traversal backend.
-
-    The ball pool is cleared before every pass so each one pays the full
-    miss-path extraction cost — the component the ``dict``/``csr``
-    backends actually differ on (warm passes are ~all hits and
-    backend-independent).  Rows must be byte-identical across backends.
-    """
-    timings = {}
-    baseline_rows = None
-    identical = True
-    for backend in ("dict", "csr"):
-        previous = set_graph_backend(backend)
-        try:
-            best = None
-            rows = None
-            for _ in range(repeats):
-                BallCache.reset()
-                start = time.perf_counter()
-                rows = serial_pass(specs)
-                seconds = time.perf_counter() - start
-                best = seconds if best is None else min(best, seconds)
-        finally:
-            set_graph_backend(previous)
-        if baseline_rows is None:
-            baseline_rows = rows
-        else:
-            identical = identical and rows == baseline_rows
-        timings[backend] = best
-    return {
-        "cold_serial_seconds": timings,
-        "speedup": timings["dict"] / timings["csr"] if timings["csr"] else None,
-        "rows_identical_across_backends": identical,
-    }
 
 
 #: Phase-attribution coverage gate: timed top-level phases must explain
@@ -276,8 +237,8 @@ def run_phase_attribution(workers=2, chunk_size=None):
 def run_bench(localities=(1, 2, 3), worker_counts=(1, 2, 4), repeats=3,
               chunk_size=None):
     """Profile the ball cache on a cold serial pass and over the warm
-    passes after it, then measure the backends, the campaign pool's
-    scaling, and phase attribution.
+    passes after it, then measure the campaign pool's scaling and phase
+    attribution.
 
     Each timed configuration is run ``repeats`` times and the best
     (minimum) wall-clock kept, the usual way to suppress scheduler noise.
@@ -298,7 +259,6 @@ def run_bench(localities=(1, 2, 3), worker_counts=(1, 2, 4), repeats=3,
     for _ in range(repeats):
         serial_pass(specs)  # warm passes: the whole-session profile
     session_cache = BallCache.global_stats()
-    backends = run_backend_comparison(specs, repeats=repeats)
     scaling = run_campaign_scaling(
         worker_counts=worker_counts, chunk_size=chunk_size, repeats=repeats
     )
@@ -309,8 +269,6 @@ def run_bench(localities=(1, 2, 3), worker_counts=(1, 2, 4), repeats=3,
         "localities": list(localities),
         "games": len(serial_rows),
         "repeats": repeats,
-        "graph_backend": get_graph_backend(),
-        "backends": backends,
         "clean_sweep": api.clean_sweep(serial_rows),
         "ball_cache": cache,
         "ball_cache_session": session_cache,
@@ -395,12 +353,6 @@ def main(argv=None):
     print(f"ball cache (whole session): {session['hit_rate']:.0%} hit rate, "
           f"{session['evictions']} evictions, "
           f"{session['full_flushes']} full flushes")
-    backends = report["backends"]
-    cold = backends["cold_serial_seconds"]
-    print(f"cold serial sweep by backend: dict={cold['dict']:.3f}s "
-          f"csr={cold['csr']:.3f}s ({backends['speedup']:.2f}x), "
-          f"rows identical across backends: "
-          f"{backends['rows_identical_across_backends']}")
     scaling = report["campaign_scaling"]
     print("\ncampaign pool scaling "
           f"(chunk={scaling['scheduling']['chunk_size']}, "

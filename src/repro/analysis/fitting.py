@@ -8,8 +8,7 @@ Candidate models (all through-origin up to an additive constant):
 * ``const``  — y = b
 
 Implemented with plain ``math`` (closed-form simple linear regression on
-a transformed x) so the core library stays dependency-free; benchmarks
-may use numpy/scipy but don't need to.
+a transformed x) so the package stays dependency-free.
 """
 
 from __future__ import annotations

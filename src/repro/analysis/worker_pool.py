@@ -29,7 +29,7 @@ fan-out with a supervised pool:
   structured forfeit row (``reason="forfeit:poison"``) — while its
   chunk-mates are requeued untainted.
 * **Warm forkserver workers** — the pool runs on a ``forkserver``
-  context (``REPRO_POOL_START`` overrides) with the simulator/graph/CSR
+  context (``REPRO_POOL_START`` overrides) with the simulator/graph
   modules preloaded, and healthy workers are *parked* in a module-level
   :class:`WarmWorkerPool` at shutdown instead of being retired.  The
   next campaign in the same process adopts them with a ``configure``
@@ -126,11 +126,10 @@ DEFAULT_MAX_CHUNK = 32
 POOL_START_ENV_VAR = "REPRO_POOL_START"
 
 #: Modules the forkserver preloads so every worker fork starts with the
-#: simulator, registry, and graph kernels already imported.
+#: simulator, registry, and graph traversal already imported.
 FORKSERVER_PRELOAD = (
     "repro.analysis.campaign",
     "repro.registry",
-    "repro.graphs.csr",
     "repro.graphs.traversal",
 )
 

@@ -7,12 +7,6 @@ hierarchies) are all plain undirected graphs whose structure we generate
 programmatically.
 """
 
-from repro.graphs.csr import (
-    CSRView,
-    csr_view,
-    get_graph_backend,
-    set_graph_backend,
-)
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     BallCache,
@@ -28,15 +22,11 @@ from repro.graphs.isomorphism import find_isomorphism, is_isomorphic
 __all__ = [
     "Graph",
     "BallCache",
-    "CSRView",
-    "csr_view",
     "ball",
     "bfs_distances",
     "connected_components",
     "diameter",
-    "get_graph_backend",
     "is_connected",
-    "set_graph_backend",
     "shortest_path",
     "find_isomorphism",
     "is_isomorphic",

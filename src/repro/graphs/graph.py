@@ -99,7 +99,6 @@ class Graph:
         "_batch_mutated",
         "_batch_removal",
         "_batch_touched",
-        "_csr",
     )
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()) -> None:
@@ -143,7 +142,6 @@ class Graph:
         self._batch_mutated = False
         self._batch_removal = False
         self._batch_touched: Optional[Set[Node]] = None
-        self._csr = None  # lazily compiled CSRView (see repro.graphs.csr)
 
     # ------------------------------------------------------------------
     # Change accounting
@@ -414,12 +412,11 @@ class Graph:
     def adjacency(self) -> Dict[Node, Set[Node]]:
         """The raw adjacency mapping ``node -> set(neighbors)``.
 
-        The backend-neutral accessor traversal hot loops read instead of
-        reaching into ``_adj``: the dict BFS kernel walks this mapping
-        directly, and :func:`repro.graphs.csr.csr_view` compiles it into
-        flat arrays.  Treat the returned mapping (and its sets) as
-        **read-only** — mutating it bypasses the generation counter,
-        change log, and fingerprint that every cache keys on.
+        The accessor traversal hot loops read instead of reaching into
+        ``_adj``: the BFS kernel in :mod:`repro.graphs.traversal` walks
+        this mapping directly.  Treat the returned mapping (and its
+        sets) as **read-only** — mutating it bypasses the generation
+        counter, change log, and fingerprint that every cache keys on.
         """
         return self._adj
 
@@ -466,7 +463,7 @@ class Graph:
         same graph.
 
         Kept nodes are inserted in the parent graph's insertion order, so
-        derived structures keyed on node order (e.g. CSR label interning)
+        derived structures keyed on node order (e.g. BFS visit order)
         are deterministic functions of the parent, not of set iteration.
         """
         requested = set(nodes)

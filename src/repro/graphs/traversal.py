@@ -8,13 +8,8 @@ some node of ``U`` (Section 2).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Union
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.graphs.csr import (  # noqa: F401  (re-exported for callers)
-    csr_view,
-    get_graph_backend,
-    set_graph_backend,
-)
 from repro.graphs.graph import Graph
 from repro.observability.metrics import BoundCounter, get_registry
 from repro.observability.timers import phase_timer
@@ -103,6 +98,38 @@ def _as_sources(sources: Union[Node, Iterable[Node]], graph: Graph) -> List[Node
     return candidates
 
 
+def _sweep(
+    graph: Graph, srcs: List[Node], radius: Optional[int]
+) -> Tuple[Set[Node], List[List[Node]]]:
+    """The traversal kernel: a level-synchronous BFS over ``graph.adjacency()``.
+
+    Visits the sources first, deduplicated in the order given, then each
+    BFS level in adjacency order, and stops after level ``radius`` (or
+    when a level comes up empty; ``None`` means no bound).  Returns
+    ``(reached, levels)``: the visited nodes as a set filled in visit
+    order, and ``levels[d]``, the nodes at distance ``d`` in visit order.
+    """
+    # Hot path: this loop dominates every simulator reveal.
+    adj = graph.adjacency()
+    reached: Set[Node] = set()
+    frontier: List[Node] = []
+    for source in srcs:
+        if source not in reached:
+            reached.add(source)
+            frontier.append(source)
+    levels = [frontier]
+    while frontier and (radius is None or len(levels) <= radius):
+        nxt: List[Node] = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in reached:
+                    reached.add(v)
+                    nxt.append(v)
+        levels.append(nxt)
+        frontier = nxt
+    return reached, levels
+
+
 def bfs_distances(
     graph: Graph,
     sources: Union[Node, Iterable[Node]],
@@ -125,42 +152,13 @@ def bfs_distances(
     -------
     dict
         ``node -> distance`` for every reached node (sources map to 0).
-        Key iteration order is unspecified (the two backends reach nodes
-        in different orders); no caller may rely on it.
+        Keys are inserted level by level: the sources in the order given,
+        then each level in adjacency order.
     """
-    srcs = _as_sources(sources, graph)
-    if _graph_backend_is_csr():
-        return csr_view(graph).distances(srcs, max_dist)
-    return _dict_bfs(graph, srcs, max_dist)
-
-
-def _graph_backend_is_csr() -> bool:
-    return get_graph_backend() == "csr"
-
-
-def _dict_bfs(
-    graph: Graph, srcs: List[Node], max_dist: Optional[int]
-) -> Dict[Node, int]:
-    """The baseline kernel: BFS over the dict-of-sets adjacency map."""
-    frontier = deque()
+    _, levels = _sweep(graph, _as_sources(sources, graph), max_dist)
     dist: Dict[Node, int] = {}
-    for source in srcs:
-        if source not in dist:
-            dist[source] = 0
-            frontier.append(source)
-    # Hot path: walk the adjacency map through the backend-neutral
-    # accessor rather than per-node neighbors() calls — this loop
-    # dominates every simulator reveal.
-    adj = graph.adjacency()
-    while frontier:
-        u = frontier.popleft()
-        d = dist[u]
-        if max_dist is not None and d >= max_dist:
-            continue
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = d + 1
-                frontier.append(v)
+    for d, level in enumerate(levels):
+        dist.update(dict.fromkeys(level, d))
     return dist
 
 
@@ -173,9 +171,7 @@ def ball(graph: Graph, sources: Union[Node, Iterable[Node]], radius: int) -> Set
         raise ValueError(f"radius must be non-negative, got {radius}")
     srcs = _as_sources(sources, graph)
     with _T_BALL_EXTRACT:
-        if _graph_backend_is_csr():
-            return csr_view(graph).ball_labels(srcs, radius)
-        return set(_dict_bfs(graph, srcs, max_dist=radius))
+        return _sweep(graph, srcs, radius)[0]
 
 
 class BallCache:

@@ -44,9 +44,7 @@ Phases instrumented across the harness (see ``docs/observability.md``):
                     as ``worker:compute`` in pool workers, bare in
                     serial runs
 ``store-fsync``     ResultStore row append + fsync
-``csr-compile``     CSR kernel full recompiles
-``csr-patch``       CSR incremental row patches
-``ball-extract``    miss-path neighborhood-ball extraction (BFS/CSR sweep)
+``ball-extract``    miss-path neighborhood-ball extraction (BFS sweep)
 ``cache-sync``      BallCache catching up with graph generation changes
 ``worker:pipe-recv``  worker idle, waiting for the next leased game
 ==================  ====================================================
@@ -59,7 +57,6 @@ ledger records it, and ``benchmarks/bench_tournament.py`` gates on it.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Mapping, Optional
@@ -90,11 +87,9 @@ TOP_LEVEL_PHASES = (
     "store-fsync",
 )
 
-#: Environment knob enabling the timers at import time (campaign CLI
-#: runs enable them explicitly; see ``repro.cli campaign run --timers``).
-TIMERS_ENV_VAR = "REPRO_PHASE_TIMERS"
-
-_enabled = os.environ.get(TIMERS_ENV_VAR, "") in ("1", "true", "on")
+#: Off until :func:`set_phase_timers` or :func:`timed_phases` turns the
+#: timers on (``repro campaign run``/``resume`` do, unless ``--no-timers``).
+_enabled = False
 _scope = ""
 #: Bumped whenever the scope changes so cached handles re-derive their
 #: metric names (scope changes are once-per-process events).

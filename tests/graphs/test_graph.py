@@ -150,6 +150,10 @@ class TestDerived:
         assert g.num_nodes == 2
         assert clone.num_nodes == 3
 
+    def test_copy_keeps_node_order(self, small_grid):
+        graph = small_grid.graph
+        assert list(graph.copy().nodes()) == list(graph.nodes())
+
     def test_relabel(self):
         g = Graph(edges=[(1, 2), (2, 3)])
         relabeled = g.relabel({1: "a", 2: "b", 3: "c"})

@@ -4,9 +4,9 @@
 adds every element through ``add_node``/``add_edge`` inside one
 ``batch()``, with the fingerprint live from the first element.  The two
 must agree on everything a caller or cache can observe, down to dict and
-neighbor-set iteration order (CSR label interning and BFS visit order
-follow it).  ``induced_subgraph`` and ``relabel`` build through the
-constructor, so they are checked against per-element references too.
+neighbor-set iteration order (BFS visit order follows it).
+``induced_subgraph`` and ``relabel`` build through the constructor, so
+they are checked against per-element references too.
 """
 
 import itertools

@@ -15,7 +15,6 @@ import pytest
 
 from repro.families.grids import SimpleGrid, ToroidalGrid
 from repro.families.ktree import deterministic_ktree
-from repro.graphs.csr import set_graph_backend
 from repro.graphs.traversal import BallCache, ball
 
 FAMILIES = {
@@ -60,17 +59,8 @@ def _mutate(graph, rng, spare_labels):
         graph.remove_node(victim)
 
 
-@pytest.fixture(params=["dict", "csr"])
-def backend(request):
-    """Run the property under both traversal kernels — invalidation must
-    be sound no matter which backend computes the miss-path balls."""
-    previous = set_graph_backend(request.param)
-    yield request.param
-    set_graph_backend(previous)
-
-
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_scoped_cache_matches_uncached_ball(family, backend):
+def test_scoped_cache_matches_uncached_ball(family):
     build = FAMILIES[family]
     for seed in range(INTERLEAVINGS):
         rng = random.Random(SEED_BASE[family] + seed)

@@ -1,5 +1,8 @@
 """Tests for BFS, balls, components, diameter."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.graphs.graph import LOG_CAPACITY, Graph
@@ -15,6 +18,9 @@ from repro.graphs.traversal import (
     set_invalidation_policy,
     shortest_path,
 )
+
+# The seeded mutation interleavings the ball-cache differential test uses.
+from test_invalidation_differential import FAMILIES, _mutate
 
 
 @pytest.fixture
@@ -66,6 +72,73 @@ class TestBall:
 
     def test_multi_source_ball(self, path_graph):
         assert ball(path_graph, [0, 5], 1) == {0, 1, 4, 5}
+
+
+def _reference_bfs(graph, sources, max_dist):
+    """Distances from ``sources`` by a queue BFS over ``Graph.neighbors()``."""
+    dist = {}
+    queue = deque()
+    for source in sources:
+        if source not in dist:
+            dist[source] = 0
+            queue.append(source)
+    while queue:
+        u = queue.popleft()
+        if max_dist is not None and dist[u] >= max_dist:
+            continue
+        for v in graph.neighbors(u):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+class TestKernelDifferential:
+    """``ball``/``bfs_distances`` equal a reference BFS after every step of
+    seeded edge/node/batched additions and rare removals."""
+
+    #: Fixed per-family seed offsets (str hash is randomized per process).
+    SEED_BASE = {"grid": 4_000, "torus": 5_000, "ktree": 6_000}
+    INTERLEAVINGS = 40
+    STEPS = 25
+
+    @staticmethod
+    def _check(graph, sources, radius):
+        want = _reference_bfs(graph, sources, radius)
+        dist = bfs_distances(graph, sources, max_dist=radius)
+        assert dist == want, f"B({sources!r}, {radius})"
+        # Keys go in level by level, the sources first in the order given.
+        assert list(dist)[: len(set(sources))] == list(dict.fromkeys(sources))
+        assert list(dist.values()) == sorted(dist.values())
+        if radius is None:
+            radius = graph.num_nodes
+        region = ball(graph, sources, radius)
+        assert region == set(want)
+        # The set is filled in visit order, so it iterates in that order.
+        in_visit_order = set()
+        for node in bfs_distances(graph, sources, max_dist=radius):
+            in_visit_order.add(node)
+        assert list(region) == list(in_visit_order)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_kernel_matches_reference_bfs(self, family):
+        build = FAMILIES[family]
+        for seed in range(self.INTERLEAVINGS):
+            rng = random.Random(self.SEED_BASE[family] + seed)
+            graph = build()
+            spare_labels = iter(range(10_000))
+            for _ in range(self.STEPS):
+                if rng.random() >= 0.55:
+                    _mutate(graph, rng, spare_labels)
+                nodes = list(graph.nodes())
+                radius = rng.choice([0, 1, 2, 3, None])
+                self._check(graph, [rng.choice(nodes)], radius)
+                sources = [rng.choice(nodes) for _ in range(rng.randrange(2, 5))]
+                self._check(graph, sources, radius)
+
+    def test_empty_sources(self, small_grid):
+        assert ball(small_grid.graph, [], 3) == set()
+        assert bfs_distances(small_grid.graph, []) == {}
 
 
 class TestComponents:

@@ -1,7 +1,12 @@
 """Tests for the stable ``repro.api`` facade."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 import repro.api as api
 
 
@@ -201,3 +206,16 @@ def test_campaign_handle_ignores_unknown_payload_fields():
     payload["some_future_field"] = True
     clone = api.CampaignHandle.from_payload(payload)
     assert clone.id == handle.id and clone.state == "done"
+
+
+def test_import_loads_no_numpy():
+    """The package has no runtime dependencies: importing the API and the
+    CLI must not pull numpy (~12 MiB) into every process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro.api, repro.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"
