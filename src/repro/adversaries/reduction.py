@@ -21,6 +21,7 @@ executable form of Theorem 5.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Mapping, Tuple
 
 from repro.models.base import (
@@ -71,9 +72,11 @@ class HierarchyReduction(OnlineAlgorithm):
 
         For every newly seen node ``u``: add base and duplicate nodes,
         the edge u*-u, and for every seen edge {u, v} the edges
-        u-v, u*-v, u-v* (duplicates are pairwise non-adjacent).
+        u-v, u*-v, u-v* (duplicates are pairwise non-adjacent).  The
+        view graph only appends nodes, so the newly seen ones are those
+        after the first ``len(self._known)``.
         """
-        new_nodes = [u for u in view.graph.nodes() if u not in self._known]
+        new_nodes = list(islice(view.graph.nodes(), len(self._known), None))
         synthetic_nodes = []
         synthetic_edges = []
         for u in new_nodes:

@@ -31,6 +31,7 @@ Implementation notes
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.parity_uf import ParityUnionFind
@@ -137,8 +138,10 @@ class AkbariBipartiteColoring(OnlineAlgorithm):
 
         "Old groups" are the existing groups adjacent to the new nodes,
         plus the target's own group when the target was already seen.
+        The view graph only appends nodes, so the new ones are those
+        after the first ``len(self._known)``.
         """
-        new_nodes = [u for u in view.graph.nodes() if u not in self._known]
+        new_nodes = list(islice(view.graph.nodes(), len(self._known), None))
         touched_roots: Dict[NodeId, Tuple[int, Optional[Color], Set[NodeId]]] = {}
 
         def touch(old_node: NodeId) -> None:

@@ -142,7 +142,14 @@ class ViewTracker:
         new_nodes: Iterable[NodeId],
         new_edges: Iterable[Tuple[NodeId, NodeId]],
     ) -> None:
-        """Add nodes and edges to the seen region (idempotent)."""
+        """Add nodes and edges to the seen region (idempotent).
+
+        The view graph only grows, and only by appending: a node keeps
+        its place in ``view_graph.nodes()`` once added.  Algorithms rely
+        on this — :class:`~repro.core.akbari.AkbariBipartiteColoring` and
+        :class:`~repro.adversaries.reduction.HierarchyReduction` read the
+        nodes a step added as the tail after the nodes they already know.
+        """
         for node in new_nodes:
             self.view_graph.add_node(node)
         for u, v in new_edges:

@@ -11,7 +11,7 @@ which the model prices at ℓ extra locality.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, Set
+from typing import Callable, Dict, Hashable, Set
 
 from repro.graphs.graph import Graph
 from repro.robustness.errors import ReproError
@@ -51,12 +51,19 @@ class PartitionOracle(ABC):
             If the inference fails.
         """
 
-    def _normalize(self, parts: Dict[Node, int]) -> Dict[Node, int]:
+    def _normalize(
+        self,
+        parts: Dict[Node, int],
+        node_repr: Callable[[Node], str] = repr,
+    ) -> Dict[Node, int]:
         """Relabel parts so the smallest node gets part 0, the next new
         part seen (in node order) gets 1, and so on — a deterministic
-        function of the partition itself."""
+        function of the partition itself.
+
+        Nodes are ordered by ``repr``; an oracle that caches its nodes'
+        reprs passes its lookup as ``node_repr``."""
         relabel: Dict[int, int] = {}
-        for node in sorted(parts, key=repr):
+        for node in sorted(parts, key=node_repr):
             part = parts[node]
             if part not in relabel:
                 relabel[part] = len(relabel)

@@ -196,7 +196,11 @@ def test_fast_examples_run(capsys):
     import runpy
     import sys
 
-    for script in ("examples/bvalue_tour.py", "examples/quickstart.py"):
+    for script in (
+        "examples/bvalue_tour.py",
+        "examples/quickstart.py",
+        "examples/hierarchy_reduction.py",
+    ):
         saved_argv = sys.argv
         sys.argv = [script]
         try:
@@ -206,6 +210,10 @@ def test_fast_examples_run(capsys):
     out = capsys.readouterr().out
     assert "Lemma 3.3" in out
     assert "Proper 3-coloring" in out
+    # The clique-chain oracle at the full Theorem 4 budget, then the
+    # reduced colorers of G_3 and G_4 against the grid adversary.
+    assert "4-coloring at T=45 is proper" in out
+    assert out.count("DEFEATED") == 4
 
 
 def test_top_level_api_exports():
