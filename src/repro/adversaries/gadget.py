@@ -187,8 +187,7 @@ class GadgetAdversary:
         # Reveal everything else; Lemma 4.6 makes a proper completion
         # impossible.
         for node in sorted(host.nodes()):
-            node_id = instance._id_of_host.get(node)
-            if node_id is None or instance.tracker.colors.get(node_id) is None:
+            if instance.color_of(node) is None:
                 instance.reveal(node)
 
         return self._finish(instance, host, stats, expect_win=True)

@@ -168,7 +168,7 @@ class GridAdversary:
         """The rectangle cycle u -> v -> above-v -> above-u -> u, in host
         coordinates, if fully colored."""
         coloring = instance.coloring()
-        to_host = instance._to_host
+        to_host = instance.to_host
         step = 1 if v >= u else -1
         cycle = [to_host((x, 0)) for x in range(u, v + step, step)]
         cycle += [to_host((v, y)) for y in range(1, height + 1)]

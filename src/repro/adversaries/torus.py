@@ -132,10 +132,7 @@ class TorusAdversary:
             instance.commit_fragment(frag_two, "identity")
             return self._finish(instance, grid, None, stats)
 
-        colors_one = [
-            instance.tracker.colors[instance._id_of_host[(row_one, j)]]
-            for j in range(m)
-        ]
+        colors_one = [instance.color_of((row_one, j)) for j in range(m)]
         colors_two_pre = [
             instance.fragment_color(frag_two, (row_two, j)) for j in range(m)
         ]
@@ -171,9 +168,7 @@ class TorusAdversary:
 
         # Reveal everything else; the coloring can no longer be proper.
         for node in sorted(grid.nodes()):
-            if node not in instance._id_of_host:
-                instance.reveal(node)
-            elif instance.tracker.colors.get(instance._id_of_host[node]) is None:
+            if instance.color_of(node) is None:
                 instance.reveal(node)
 
         cycle_one = [(row_one, j) for j in range(m)]

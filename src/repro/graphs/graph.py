@@ -40,10 +40,10 @@ from typing import (
 Node = Hashable
 Edge = Tuple[Node, Node]
 
-#: Change-log records kept before the log overflows and consumers must
-#: fall back to a full flush.  Sized to cover any realistic burst of
-#: single mutations between two cache queries (bulk construction goes
-#: through ``batch()`` and costs one record regardless of size).
+#: Change-log records kept before the log overflows and drops its older
+#: half, so a reader that syncs at least every ``LOG_CAPACITY // 2``
+#: records never falls back to a full flush.  Bulk construction goes
+#: through ``batch()`` and costs one record regardless of size.
 LOG_CAPACITY = 4096
 
 #: Touched-node sets larger than this are recorded as an opaque ``bulk``
@@ -163,11 +163,12 @@ class Graph:
 
     def _append_log(self, kind: str, nodes: Tuple[Node, ...]) -> None:
         if len(self._log) >= LOG_CAPACITY:
-            # Overflow: drop history (including this record) and advance
-            # the floor so changes_since() reports "unknowable".
-            self._log.clear()
-            self._log_floor = self._generation
-            return
+            # Overflow: drop the older half and raise the floor to the
+            # last dropped generation, so changes_since() reports history
+            # before it as "unknowable" and appends stay amortised O(1).
+            drop = LOG_CAPACITY // 2
+            self._log_floor = self._log[drop - 1][0]
+            del self._log[:drop]
         self._log.append((self._generation, kind, nodes))
 
     def _fold(self, token: int, sign: int) -> None:
@@ -234,10 +235,10 @@ class Graph:
             return []
         if generation < self._log_floor or generation > self._generation:
             return None
+        # The log holds one record per generation from the floor on.
         return [
             (kind, nodes)
-            for gen, kind, nodes in self._log
-            if gen > generation
+            for _, kind, nodes in self._log[generation - self._log_floor:]
         ]
 
     # ------------------------------------------------------------------

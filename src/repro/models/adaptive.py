@@ -26,29 +26,38 @@ Two mechanisms cover everything the paper's adversaries need:
   (reflect one row band of a torus/cylinder) and Theorem 3 (transpose the
   suffix gadget fragment) adversaries.
 
-Both classes log every reveal and provide :meth:`audit`, which replays
-the whole game against the committed host graph and verifies that every
-view shown to the algorithm was exactly the induced subgraph
-:math:`G_i` required by the model — adversary wins are machine-checked,
-never asserted.
+Both classes reveal through :func:`~repro.models.base.reveal_ball`, the
+one implementation of the view rule, and differ only in the frame a
+reveal is resolved in and in how a fragment's frame is fixed at commit:
+by a translation and reflection, or by a named automorphism.  Both log
+every reveal, and their :meth:`audit` hands the log to
+:func:`audit_reveals`, which replays the whole game against the
+committed host graph and verifies that every view shown to the
+algorithm was exactly the induced subgraph :math:`G_i` required by the
+model — adversary wins are machine-checked, never asserted.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Hashable, Optional, Set, Tuple
 
 from repro.families.grids import SimpleGrid
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import BallCache
-from repro.models.base import Color, NodeId, OnlineAlgorithm, ViewTracker
-from repro.observability.metrics import BoundCounter
+from repro.models.base import (
+    Color,
+    NodeId,
+    OnlineAlgorithm,
+    RevealLog,
+    ViewTracker,
+    reveal_ball,
+)
 from repro.observability.trace import TRACER
 
 Coord = Tuple[int, int]
 HostNode = Hashable
-
-_REVEALS = BoundCounter("reveals_total")
 
 
 class ConsistencyError(Exception):
@@ -72,38 +81,51 @@ def _plane_ball(center: Coord, radius: int) -> Set[Coord]:
     return {(x0 + dx, y0 + dy) for dx, dy in _diamond_offsets(radius)}
 
 
-def _l1(a: Coord, b: Coord) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+def _plane_neighbors(coord: Coord) -> Tuple[Coord, ...]:
+    """The four grid neighbours of ``coord`` in Z^2."""
+    x, y = coord
+    return ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
 
 
-def _is_induced_view(
+def audit_reveals(
+    log: RevealLog,
+    id_of: Dict[HostNode, NodeId],
+    node_of: Dict[NodeId, HostNode],
+    ball: Callable[[HostNode], AbstractSet[HostNode]],
     view: Graph,
     host: Graph,
-    seen: Set[HostNode],
-    id_of: Dict[HostNode, NodeId],
-) -> bool:
-    """Whether ``view`` is the host-induced subgraph :math:`G[seen]` with
-    every host node ``u`` renamed to ``id_of[u]``.
+) -> None:
+    """Replay a reveal log against the committed host graph.
 
-    The same equality as ``host.induced_subgraph(seen).relabel(id_of) ==
-    view``, decided on the adjacency maps without building either graph.
+    ``id_of`` and ``node_of`` map host nodes to view ids and back;
+    ``ball(node)`` is a host node's T-ball.  Raises
+    :class:`ConsistencyError` unless every reveal, in play order, added
+    exactly the ids of its ball's unseen host nodes, and ``view`` is the
+    host-induced subgraph :math:`G[seen]` with every host node ``u``
+    renamed to ``id_of[u]`` — ``host.induced_subgraph(seen).relabel(id_of)
+    == view``, decided on the adjacency maps without building either graph.
     """
+    seen: Set[HostNode] = set()
+    for target_id, fresh_ids in log:
+        node = node_of.get(target_id)
+        if node is None:
+            raise ConsistencyError(
+                f"revealed id {target_id} has no committed host position"
+            )
+        region = ball(node)
+        recomputed = frozenset(id_of[u] for u in region if u not in seen)
+        if recomputed != fresh_ids:
+            raise ConsistencyError(
+                f"view growth at {node!r} was {sorted(fresh_ids)} but host "
+                f"replay gives {sorted(recomputed)}"
+            )
+        seen |= region
     host_adj = host.adjacency()
     expected = {
         id_of[u]: {id_of[v] for v in host_adj[u] if v in seen} for u in seen
     }
-    return expected == view.adjacency()
-
-
-class _Fragment:
-    """A connected-ish revealed region with its own integer frame."""
-
-    __slots__ = ("seen", "revealed", "alive")
-
-    def __init__(self) -> None:
-        self.seen: Dict[Coord, NodeId] = {}
-        self.revealed: List[Coord] = []
-        self.alive = True
+    if expected != view.adjacency():
+        raise ConsistencyError("final view differs from host-induced subgraph")
 
 
 class FloatingGridInstance:
@@ -136,14 +158,15 @@ class FloatingGridInstance:
         self.tracker = ViewTracker(
             algorithm, n=declared_n, locality=locality, num_colors=num_colors
         )
-        self._fragments: Dict[int, _Fragment] = {}
+        #: Live fragment handle -> its frame: local coordinate -> view id.
+        self._fragments: Dict[int, Dict[Coord, NodeId]] = {}
         self._next_fragment = 0
-        self._log: List[Tuple[NodeId, FrozenSet[NodeId]]] = []
+        self._ids = itertools.count()
+        self._log: RevealLog = []
         # Populated by commit():
         self.host: Optional[SimpleGrid] = None
         self._host_id_of: Dict[Coord, NodeId] = {}
         self._host_node_of_id: Dict[NodeId, Coord] = {}
-        self._committed_offsets: Dict[int, Coord] = {}
 
     # ------------------------------------------------------------------
     # Fragment phase
@@ -154,8 +177,16 @@ class FloatingGridInstance:
             raise ConsistencyError("cannot create fragments after commit")
         handle = self._next_fragment
         self._next_fragment += 1
-        self._fragments[handle] = _Fragment()
+        self._fragments[handle] = {}
         return handle
+
+    def _frame(self, fragment: int) -> Dict[Coord, NodeId]:
+        frame = self._fragments.get(fragment)
+        if frame is None:
+            raise ConsistencyError(
+                f"fragment {fragment} is not live (merged away or never created)"
+            )
+        return frame
 
     def reveal(self, fragment: int, coord: Coord) -> Color:
         """Reveal the node at ``coord`` in the fragment's local frame.
@@ -166,58 +197,23 @@ class FloatingGridInstance:
         """
         if self.host is not None:
             raise ConsistencyError("use reveal_committed after commit")
-        frag = self._fragments[fragment]
-        if not frag.alive:
-            raise ConsistencyError(f"fragment {fragment} was merged away")
-        fresh = [
-            c for c in sorted(_plane_ball(coord, self.locality)) if c not in frag.seen
-        ]
-        fresh_ids = []
-        for c in fresh:
-            node_id = self._new_id(frag, c)
-            fresh_ids.append(node_id)
-        edges = []
-        for c in fresh:
-            c_id = frag.seen[c]
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nbr = (c[0] + dx, c[1] + dy)
-                nbr_id = frag.seen.get(nbr)
-                if nbr_id is not None:
-                    edges.append((c_id, nbr_id))
-        self.tracker.extend(fresh_ids, edges)
-        frag.revealed.append(coord)
-        target = frag.seen[coord]
-        color = self.tracker.reveal(target)
-        self._log.append((target, frozenset(fresh_ids)))
-        _REVEALS.inc()
-        if TRACER.enabled:
-            TRACER.event(
-                "reveal",
-                model="floating-grid",
-                fragment=fragment,
-                node=coord,
-                id=target,
-                color=color,
-                fresh=len(fresh_ids),
-            )
-        return color
-
-    def _new_id(self, frag: _Fragment, coord: Coord) -> NodeId:
-        node_id = self._id_counter = getattr(self, "_id_counter", -1) + 1
-        frag.seen[coord] = node_id
-        return node_id
+        frame = self._frame(fragment)
+        fresh = sorted(c for c in _plane_ball(coord, self.locality) if c not in frame)
+        return reveal_ball(
+            self.tracker, frame, fresh, _plane_neighbors, coord, self._ids,
+            self._log, model="floating-grid", fragment=fragment,
+        )
 
     def fragment_color(self, fragment: int, coord: Coord) -> Optional[Color]:
         """The committed color at a fragment-frame coordinate, or None."""
-        frag = self._fragments[fragment]
-        node_id = frag.seen.get(coord)
+        node_id = self._frame(fragment).get(coord)
         if node_id is None:
             return None
         return self.tracker.colors.get(node_id)
 
     def fragment_row_extent(self, fragment: int, y: int = 0) -> Tuple[int, int]:
         """The (min x, max x) of the fragment's seen nodes on row ``y``."""
-        xs = [x for (x, yy) in self._fragments[fragment].seen if yy == y]
+        xs = [x for (x, yy) in self._frame(fragment) if yy == y]
         if not xs:
             raise ValueError(f"fragment {fragment} has no seen nodes on row {y}")
         return min(xs), max(xs)
@@ -241,32 +237,29 @@ class FloatingGridInstance:
         Raises
         ------
         ConsistencyError
-            If the placement would overlap or touch the regions.
+            If the placement would overlap or touch the regions, or a
+            handle is not live.
         """
         if self.host is not None:
             raise ConsistencyError("cannot merge after commit")
         if frag_a == frag_b:
             raise ValueError("cannot merge a fragment with itself")
-        a = self._fragments[frag_a]
-        b = self._fragments[frag_b]
-        if not (a.alive and b.alive):
-            raise ConsistencyError("merge involves a dead fragment")
-
-        def transform(coord: Coord) -> Coord:
-            x, y = coord
-            return (dx - x, dy + y) if reflect else (dx + x, dy + y)
-
-        moved = {transform(c): node_id for c, node_id in b.seen.items()}
+        a = self._frame(frag_a)
+        b = self._frame(frag_b)
+        moved = {
+            ((dx - x) if reflect else (dx + x), dy + y): node_id
+            for (x, y), node_id in b.items()
+        }
         for coord in moved:
-            for existing in self._near(a.seen, coord, 1):
-                raise ConsistencyError(
-                    f"merge places b-node at {coord} within distance 1 of "
-                    f"a-node at {existing}; earlier views showed them "
-                    f"disconnected"
-                )
-        a.seen.update(moved)
-        a.revealed.extend(transform(c) for c in b.revealed)
-        b.alive = False
+            for ox, oy in _diamond_offsets(1):
+                existing = (coord[0] + ox, coord[1] + oy)
+                if existing in a:
+                    raise ConsistencyError(
+                        f"merge places b-node at {coord} within distance 1 of "
+                        f"a-node at {existing}; earlier views showed them "
+                        f"disconnected"
+                    )
+        a.update(moved)
         del self._fragments[frag_b]
         if TRACER.enabled:
             TRACER.event(
@@ -278,18 +271,6 @@ class FloatingGridInstance:
                 reflect=reflect,
             )
 
-    @staticmethod
-    def _near(seen: Dict[Coord, NodeId], coord: Coord, radius: int) -> List[Coord]:
-        """Seen coords within L1 distance ``radius`` of ``coord``."""
-        x, y = coord
-        hits = []
-        for ddx in range(-radius, radius + 1):
-            for ddy in range(-(radius - abs(ddx)), radius - abs(ddx) + 1):
-                candidate = (x + ddx, y + ddy)
-                if candidate in seen:
-                    hits.append(candidate)
-        return hits
-
     # ------------------------------------------------------------------
     # Commit phase
     # ------------------------------------------------------------------
@@ -299,9 +280,7 @@ class FloatingGridInstance:
         Remaining fragments are stacked vertically with gaps of
         ``2T + 2`` so no earlier view is falsified.  After commit, use
         :meth:`reveal_committed` with ``(x, y)`` coordinates in the
-        *reference* fragment's frame (default: the lowest live handle;
-        other fragments' offsets are available via
-        :meth:`committed_offset`).
+        *reference* fragment's frame (default: the lowest live handle).
         """
         if self.host is not None:
             raise ConsistencyError("already committed")
@@ -318,23 +297,15 @@ class FloatingGridInstance:
             handles.remove(reference)
             handles.insert(0, reference)
         global_seen: Dict[Coord, NodeId] = {}
-        global_revealed: List[Coord] = []
         floor = None
         for handle in handles:
-            frag = self._fragments[handle]
-            ys = [c[1] for c in frag.seen]
-            xs = [c[0] for c in frag.seen]
-            if floor is None:
-                offset = (0, 0)
-            else:
-                offset = (0, floor - max(ys) - (2 * self.locality + 2))
-            self._committed_offsets[handle] = offset
-            for (x, y), node_id in frag.seen.items():
-                global_seen[(x + offset[0], y + offset[1])] = node_id
-            global_revealed.extend(
-                (x + offset[0], y + offset[1]) for (x, y) in frag.revealed
-            )
-            floor = min(c[1] + offset[1] for c in frag.seen)
+            frame = self._fragments[handle]
+            shift = 0
+            if floor is not None:
+                shift = floor - max(y for _, y in frame) - (2 * self.locality + 2)
+            for (x, y), node_id in frame.items():
+                global_seen[(x, y + shift)] = node_id
+            floor = min(y for _, y in frame) + shift
 
         xs = [c[0] for c in global_seen]
         ys = [c[1] for c in global_seen]
@@ -348,62 +319,33 @@ class FloatingGridInstance:
         # final audit query balls on it, so they share one cache.
         self._balls = BallCache(self.host.graph)
         self._origin = (min_x, min_y)
-
-        def to_host(coord: Coord) -> Coord:
-            return (coord[1] - min_y, coord[0] - min_x)
-
-        self._to_host = to_host
-        for coord, node_id in global_seen.items():
-            host_coord = to_host(coord)
+        for (x, y), node_id in global_seen.items():
+            host_coord = (y - min_y, x - min_x)
             self._host_id_of[host_coord] = node_id
             self._host_node_of_id[node_id] = host_coord
-        self._host_revealed = [to_host(c) for c in global_revealed]
         self._fragments.clear()
         return self.host
 
-    def committed_offset(self, fragment: int) -> Coord:
-        """The translation applied to a fragment's frame at commit time."""
-        return self._committed_offsets[fragment]
-
-    def reveal_committed(self, coord: Coord) -> Color:
-        """Reveal a node after commit, by fragment-0 frame coordinates."""
+    def to_host(self, coord: Coord) -> Coord:
+        """The host ``(row, col)`` of a reference-frame ``(x, y)``."""
         if self.host is None:
             raise ConsistencyError("commit() first")
-        host_coord = self._to_host(coord)
-        return self._reveal_host(host_coord)
+        min_x, min_y = self._origin
+        return (coord[1] - min_y, coord[0] - min_x)
 
-    def _reveal_host(self, host_coord: Coord) -> Color:
-        region = self._balls.ball(host_coord, self.locality)
-        fresh = sorted(c for c in region if c not in self._host_id_of)
-        fresh_ids = []
+    def reveal_committed(self, coord: Coord) -> Color:
+        """Reveal a node after commit, by reference-frame coordinates."""
+        host_coord = self.to_host(coord)
+        id_of = self._host_id_of
+        fresh = sorted(
+            c for c in self._balls.ball(host_coord, self.locality) if c not in id_of
+        )
+        color = reveal_ball(
+            self.tracker, id_of, fresh, self.host.graph.neighbors, host_coord,
+            self._ids, self._log, model="floating-grid", phase="committed",
+        )
         for c in fresh:
-            node_id = self._id_counter = getattr(self, "_id_counter", -1) + 1
-            self._host_id_of[c] = node_id
-            self._host_node_of_id[node_id] = c
-            fresh_ids.append(node_id)
-        edges = []
-        for c in fresh:
-            c_id = self._host_id_of[c]
-            for nbr in self.host.graph.neighbors(c):
-                nbr_id = self._host_id_of.get(nbr)
-                if nbr_id is not None:
-                    edges.append((c_id, nbr_id))
-        self.tracker.extend(fresh_ids, edges)
-        target = self._host_id_of[host_coord]
-        self._host_revealed.append(host_coord)
-        color = self.tracker.reveal(target)
-        self._log.append((target, frozenset(fresh_ids)))
-        _REVEALS.inc()
-        if TRACER.enabled:
-            TRACER.event(
-                "reveal",
-                model="floating-grid",
-                phase="committed",
-                node=host_coord,
-                id=target,
-                color=color,
-                fresh=len(fresh_ids),
-            )
+            self._host_node_of_id[id_of[c]] = c
         return color
 
     # ------------------------------------------------------------------
@@ -419,47 +361,25 @@ class FloatingGridInstance:
         }
 
     def color_at(self, fragment_coord: Coord) -> Optional[Color]:
-        """Color of a node given in fragment-0 frame coordinates."""
+        """Color of a node given in reference-frame coordinates."""
         if self.host is None:
             raise ConsistencyError("commit() before reading colors by frame")
-        node_id = self._host_id_of.get(self._to_host(fragment_coord))
+        node_id = self._host_id_of.get(self.to_host(fragment_coord))
         if node_id is None:
             return None
         return self.tracker.colors.get(node_id)
 
     def audit(self) -> None:
-        """Replay the whole game against the committed host grid.
-
-        Verifies that every reveal added exactly the recorded fresh ids
-        and that the final view equals the host-induced subgraph on the
-        seen region.  Raises :class:`ConsistencyError` on any mismatch.
-        """
+        """Replay the whole game against the committed host grid
+        (:func:`audit_reveals`); raises :class:`ConsistencyError` on any
+        mismatch."""
         if self.host is None:
             raise ConsistencyError("commit() before audit")
-        # Derive the true host-coordinate reveal order from the log (the
-        # log is in play order; per-fragment bookkeeping is not).
-        seen: Set[Coord] = set()
-        for target_id, fresh_ids in self._log:
-            host_coord = self._host_node_of_id.get(target_id)
-            if host_coord is None:
-                raise ConsistencyError(
-                    f"revealed id {target_id} has no committed host position"
-                )
-            region = self._balls.ball(host_coord, self.locality)
-            recomputed = frozenset(
-                self._host_id_of[c] for c in region if c not in seen
-            )
-            if recomputed != fresh_ids:
-                raise ConsistencyError(
-                    f"view growth at {host_coord} was "
-                    f"{sorted(fresh_ids)} but host replay gives "
-                    f"{sorted(recomputed)}"
-                )
-            seen |= region
-        if not _is_induced_view(
-            self.tracker.view_graph, self.host.graph, seen, self._host_id_of
-        ):
-            raise ConsistencyError("final view differs from host-induced subgraph")
+        audit_reveals(
+            self._log, self._host_id_of, self._host_node_of_id,
+            lambda node: self._balls.ball(node, self.locality),
+            self.tracker.view_graph, self.host.graph,
+        )
 
 
 class LateAutomorphismInstance:
@@ -494,18 +414,13 @@ class LateAutomorphismInstance:
         self._autos: Dict[int, Dict[str, Dict[HostNode, HostNode]]] = {}
         self._committed: Dict[int, str] = {}
         self._next_fragment = 0
-        # During the fragment phase, ids map to *pre-image* host labels.
-        self._pre_id_of: Dict[Tuple[int, HostNode], NodeId] = {}
-        self._pre_node_of: Dict[NodeId, Tuple[int, HostNode]] = {}
-        self._frag_seen: Dict[int, Set[HostNode]] = {}
-        self._frag_revealed: Dict[int, List[HostNode]] = {}
+        #: Fragment handle -> its frame: *pre-image* host label -> view id.
+        self._frames: Dict[int, Dict[HostNode, NodeId]] = {}
         # After commits, ids map to true host nodes.
         self._id_of_host: Dict[HostNode, NodeId] = {}
         self._host_of_id: Dict[NodeId, HostNode] = {}
-        self._id_counter = -1
-        self._log: List[Tuple[NodeId, FrozenSet[NodeId]]] = []
-        self._host_revealed: List[HostNode] = []
-        self._free_phase = False
+        self._ids = itertools.count()
+        self._log: RevealLog = []
 
     # ------------------------------------------------------------------
     # Declaration
@@ -540,8 +455,7 @@ class LateAutomorphismInstance:
         autos = dict(automorphisms)
         autos.setdefault("identity", {node: node for node in self.host.nodes()})
         self._autos[handle] = autos
-        self._frag_seen[handle] = set()
-        self._frag_revealed[handle] = []
+        self._frames[handle] = {}
         return handle
 
     def _check_automorphism(
@@ -560,6 +474,9 @@ class LateAutomorphismInstance:
             if not self.host.has_edge(mapping[u], mapping[v]):
                 raise ValueError(f"automorphism {name!r} does not preserve edges")
 
+    def _all_committed(self) -> bool:
+        return len(self._committed) == len(self._regions)
+
     # ------------------------------------------------------------------
     # Fragment phase
     # ------------------------------------------------------------------
@@ -574,44 +491,18 @@ class LateAutomorphismInstance:
             raise ConsistencyError(
                 f"ball of {node!r} leaves the fragment region at {outside!r}"
             )
-        seen = self._frag_seen[fragment]
-        fresh = sorted(ball_nodes - seen, key=repr)
-        fresh_ids = []
-        for u in fresh:
-            self._id_counter += 1
-            self._pre_id_of[(fragment, u)] = self._id_counter
-            self._pre_node_of[self._id_counter] = (fragment, u)
-            fresh_ids.append(self._id_counter)
-        seen |= ball_nodes
-        edges = []
-        for u in fresh:
-            u_id = self._pre_id_of[(fragment, u)]
-            for v in self.host.neighbors(u):
-                if v in seen:
-                    edges.append((u_id, self._pre_id_of[(fragment, v)]))
-        self.tracker.extend(fresh_ids, edges)
-        target = self._pre_id_of[(fragment, node)]
-        self._frag_revealed[fragment].append(node)
-        color = self.tracker.reveal(target)
-        self._log.append((target, frozenset(fresh_ids)))
-        _REVEALS.inc()
-        if TRACER.enabled:
-            TRACER.event(
-                "reveal",
-                model="late-automorphism",
-                fragment=fragment,
-                node=node,
-                id=target,
-                color=color,
-                fresh=len(fresh_ids),
-            )
-        return color
+        frame = self._frames[fragment]
+        fresh = sorted((u for u in ball_nodes if u not in frame), key=repr)
+        return reveal_ball(
+            self.tracker, frame, fresh, self.host.neighbors, node, self._ids,
+            self._log, model="late-automorphism", fragment=fragment,
+        )
 
     def fragment_color(self, fragment: int, pre_node: HostNode) -> Optional[Color]:
         """The committed color of a pre-image node of an uncommitted
         fragment (the adversary inspects colors before choosing the
         automorphism)."""
-        node_id = self._pre_id_of.get((fragment, pre_node))
+        node_id = self._frames[fragment].get(pre_node)
         if node_id is None:
             return None
         return self.tracker.colors.get(node_id)
@@ -626,61 +517,44 @@ class LateAutomorphismInstance:
             TRACER.event(
                 "fragment-commit", fragment=fragment, automorphism=automorphism
             )
-        for pre_node in self._frag_seen[fragment]:
-            node_id = self._pre_id_of[(fragment, pre_node)]
+        for pre_node, node_id in self._frames[fragment].items():
             true_node = mapping[pre_node]
             self._id_of_host[true_node] = node_id
             self._host_of_id[node_id] = true_node
-        for pre_node in self._frag_revealed[fragment]:
-            self._host_revealed.append(mapping[pre_node])
 
     # ------------------------------------------------------------------
     # Free phase
     # ------------------------------------------------------------------
     def reveal(self, node: HostNode) -> Color:
         """Reveal any host node; all fragments must be committed first."""
-        if set(self._regions) - set(self._committed):
+        if not self._all_committed():
             raise ConsistencyError("commit every fragment before free reveals")
-        self._free_phase = True
-        region = self._balls.ball(node, self.locality)
-        fresh = sorted((u for u in region if u not in self._id_of_host), key=repr)
-        fresh_ids = []
+        id_of = self._id_of_host
+        fresh = sorted(
+            (u for u in self._balls.ball(node, self.locality) if u not in id_of),
+            key=repr,
+        )
+        color = reveal_ball(
+            self.tracker, id_of, fresh, self.host.neighbors, node, self._ids,
+            self._log, model="late-automorphism", phase="free",
+        )
         for u in fresh:
-            self._id_counter += 1
-            self._id_of_host[u] = self._id_counter
-            self._host_of_id[self._id_counter] = u
-            fresh_ids.append(self._id_counter)
-        edges = []
-        for u in fresh:
-            u_id = self._id_of_host[u]
-            for v in self.host.neighbors(u):
-                v_id = self._id_of_host.get(v)
-                if v_id is not None:
-                    edges.append((u_id, v_id))
-        self.tracker.extend(fresh_ids, edges)
-        target = self._id_of_host[node]
-        self._host_revealed.append(node)
-        color = self.tracker.reveal(target)
-        self._log.append((target, frozenset(fresh_ids)))
-        _REVEALS.inc()
-        if TRACER.enabled:
-            TRACER.event(
-                "reveal",
-                model="late-automorphism",
-                phase="free",
-                node=node,
-                id=target,
-                color=color,
-                fresh=len(fresh_ids),
-            )
+            self._host_of_id[id_of[u]] = u
         return color
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
+    def color_of(self, node: HostNode) -> Optional[Color]:
+        """The committed color of a true host node, or None."""
+        node_id = self._id_of_host.get(node)
+        if node_id is None:
+            return None
+        return self.tracker.colors.get(node_id)
+
     def coloring(self) -> Dict[HostNode, Color]:
         """Committed colors keyed by true host nodes."""
-        if set(self._regions) - set(self._committed):
+        if not self._all_committed():
             raise ConsistencyError("commit every fragment before reading colors")
         return {
             self._host_of_id[node_id]: color
@@ -688,28 +562,12 @@ class LateAutomorphismInstance:
         }
 
     def audit(self) -> None:
-        """Replay against the host; raise ConsistencyError on any mismatch."""
-        if set(self._regions) - set(self._committed):
+        """Replay the whole game against the host (:func:`audit_reveals`);
+        raises :class:`ConsistencyError` on any mismatch."""
+        if not self._all_committed():
             raise ConsistencyError("commit every fragment before audit")
-        if len(self._log) != len(self._host_revealed):
-            raise ConsistencyError("reveal log length mismatch")
-        # The per-fragment reveals were logged in play order globally, but
-        # _host_revealed groups fragment reveals at commit time.  Rebuild
-        # the true host order from the log via the final id map.
-        ordered_hosts = [self._host_of_id[target] for target, __ in self._log]
-        seen: Set[HostNode] = set()
-        for (target_id, fresh_ids), node in zip(self._log, ordered_hosts):
-            region = self._balls.ball(node, self.locality)
-            recomputed = frozenset(
-                self._id_of_host[u] for u in region if u not in seen
-            )
-            if recomputed != fresh_ids:
-                raise ConsistencyError(
-                    f"view growth at {node!r} was {sorted(fresh_ids)} but "
-                    f"host replay gives {sorted(recomputed)}"
-                )
-            seen |= region
-        if not _is_induced_view(
-            self.tracker.view_graph, self.host, seen, self._id_of_host
-        ):
-            raise ConsistencyError("final view differs from host-induced subgraph")
+        audit_reveals(
+            self._log, self._id_of_host, self._host_of_id,
+            lambda node: self._balls.ball(node, self.locality),
+            self.tracker.view_graph, self.host,
+        )

@@ -19,9 +19,10 @@ The central contract is :class:`OnlineAlgorithm`:
   whole boundary layers during parity flips).
 
 The :class:`ViewTracker` enforces the rules: colors are final, only seen
-nodes may be colored, colors lie in ``1..num_colors``.  Both the
-fixed-host simulator and the adaptive adversarial instances delegate to
-it, so every algorithm runs under identical legality checks.
+nodes may be colored, colors lie in ``1..num_colors``.  The fixed-host
+simulator and the adaptive adversarial instances reveal every node
+through :func:`reveal_ball`, the one implementation of the view rule, so
+every algorithm runs under identical views and legality checks.
 """
 
 from __future__ import annotations
@@ -29,9 +30,24 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.graphs.graph import Graph
+from repro.observability.metrics import BoundCounter
+from repro.observability.trace import TRACER
 from repro.robustness.errors import (
     InvalidColorError,
     LocalityViolation,
@@ -41,6 +57,11 @@ from repro.robustness.errors import (
 
 Color = int
 NodeId = int
+
+#: One ``(target id, fresh ids)`` record per reveal, in play order.
+RevealLog = List[Tuple[NodeId, FrozenSet[NodeId]]]
+
+_REVEALS = BoundCounter("reveals_total")
 
 #: Raised when an algorithm violates the model contract — coloring an
 #: unseen node (exceeding its locality), recoloring a node, using a color
@@ -221,3 +242,50 @@ class ViewTracker:
                     f"1..{self.num_colors}"
                 )
             self.colors[node] = color
+
+
+def reveal_ball(
+    tracker: ViewTracker,
+    frame: Dict[Hashable, NodeId],
+    fresh: Collection[Hashable],
+    neighbors: Callable[[Hashable], Iterable[Hashable]],
+    target: Hashable,
+    ids: Iterator[NodeId],
+    log: Optional[RevealLog],
+    **trace: Any,
+) -> Color:
+    """Reveal ``target``: grow the view by its T-ball, step the algorithm.
+
+    ``frame`` maps every seen node (host, or a fragment's own frame) to
+    its view id.  ``fresh`` lists the ball's nodes the frame lacks, in
+    the caller's order, which fixes their ids (drawn from ``ids``).  Each
+    new edge reaches the view once, from its first fresh endpoint in
+    ``fresh`` and ``neighbors`` order.  After the step, ``(target id,
+    fresh ids)`` goes to ``log`` (unless None), ``reveals_total`` counts
+    one, and a ``"reveal"`` event carries ``trace`` plus ``node``, ``id``,
+    ``color`` and ``fresh``.  Returns ``target``'s color.
+    """
+    fresh_ids = []
+    for node in fresh:
+        frame[node] = node_id = next(ids)
+        fresh_ids.append(node_id)
+    edges = []
+    scanned = set()
+    for node, node_id in zip(fresh, fresh_ids):
+        for nbr in neighbors(node):
+            nbr_id = frame.get(nbr)
+            if nbr_id is not None and nbr_id not in scanned:
+                edges.append((node_id, nbr_id))
+        scanned.add(node_id)
+    tracker.extend(fresh_ids, edges)
+    target_id = frame[target]
+    color = tracker.reveal(target_id)
+    if log is not None:
+        log.append((target_id, frozenset(fresh_ids)))
+    _REVEALS.inc()
+    if TRACER.enabled:
+        TRACER.event(
+            "reveal", **trace, node=target, id=target_id, color=color,
+            fresh=len(fresh_ids),
+        )
+    return color

@@ -14,18 +14,21 @@ the coordinate-cheat ablation in ``benchmarks/bench_ablations.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+import itertools
+from typing import Dict, Hashable, Iterable, Optional
 
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import BallCache
-from repro.models.base import Color, NodeId, OnlineAlgorithm, ViewTracker
-from repro.observability.metrics import BoundCounter
-from repro.observability.trace import TRACER
+from repro.models.base import (
+    Color,
+    NodeId,
+    OnlineAlgorithm,
+    ViewTracker,
+    reveal_ball,
+)
 from repro.robustness.errors import RevealOrderError, UnknownHostNodeError
 
 HostNode = Hashable
-
-_REVEALS = BoundCounter("reveals_total")
 
 
 class OnlineLocalSimulator:
@@ -56,7 +59,9 @@ class OnlineLocalSimulator:
         self.leak_labels = leak_labels
         self._balls = BallCache(host)
         self._id_of: Dict[HostNode, NodeId] = {}
+        # The inverse of _id_of, rebuilt on read when the view has grown.
         self._node_of: Dict[NodeId, HostNode] = {}
+        self._ids = itertools.count()
         self._seen: set = set()
         self._revealed: set = set()
         self.tracker = ViewTracker(
@@ -69,26 +74,18 @@ class OnlineLocalSimulator:
     # ------------------------------------------------------------------
     # Id management
     # ------------------------------------------------------------------
-    def _intern(self, node: HostNode) -> NodeId:
-        """Assign an opaque id to a host node on first sight."""
-        existing = self._id_of.get(node)
-        if existing is not None:
-            return existing
-        # leak_labels is an out-of-model ablation: the "id" is the host
-        # label itself (e.g. grid coordinates), which real adversaries
-        # would never hand an algorithm.
-        new_id = node if self.leak_labels else len(self._id_of)
-        self._id_of[node] = new_id
-        self._node_of[new_id] = node
-        return new_id
-
     def id_of(self, node: HostNode) -> NodeId:
         """The view id of a host node (must already be seen)."""
         return self._id_of[node]
 
     def host_node(self, node_id: NodeId) -> HostNode:
         """The host node behind a view id."""
-        return self._node_of[node_id]
+        return self._host_nodes()[node_id]
+
+    def _host_nodes(self) -> Dict[NodeId, HostNode]:
+        if len(self._node_of) != len(self._id_of):
+            self._node_of = {node_id: node for node, node_id in self._id_of.items()}
+        return self._node_of
 
     # ------------------------------------------------------------------
     # The game
@@ -106,46 +103,20 @@ class OnlineLocalSimulator:
             )
         # Validate σ *before* any side effects: a double reveal must not
         # leave extended view state behind.
-        existing = self._id_of.get(node)
-        if existing is not None and existing in self._revealed:
+        if node in self._revealed:
             raise RevealOrderError(f"node {node!r} was already revealed")
         new_ball = self._balls.ball(node, self.locality)
         fresh = new_ball - self._seen
         self._seen |= new_ball
-        fresh_ids = [self._intern(u) for u in fresh]
-        # Fresh-fresh edges are discovered from both endpoints; dedupe so
-        # the tracker receives each new edge exactly once.  Edges into the
-        # previously seen region are discovered from the fresh side only,
-        # so they skip the dedup set.
-        new_edges: List[Tuple[NodeId, NodeId]] = []
-        emitted: set = set()
-        id_of = self._id_of
-        for u in fresh:
-            u_id = id_of[u]
-            for v in self.host.neighbors(u):
-                if v in fresh:
-                    edge = frozenset((u_id, id_of[v]))
-                    if edge not in emitted:
-                        emitted.add(edge)
-                        new_edges.append((u_id, id_of[v]))
-                elif v in self._seen:
-                    new_edges.append((u_id, id_of[v]))
-        self.tracker.extend(fresh_ids, new_edges)
-        target = self._id_of[node]
-        self._revealed.add(target)
-        color = self.tracker.reveal(target)
-        _REVEALS.inc()
-        if TRACER.enabled:
-            TRACER.event(
-                "reveal",
-                model="online-local",
-                node=node,
-                id=target,
-                color=color,
-                fresh=len(fresh),
-                seen=len(self._seen),
-            )
-        return color
+        self._revealed.add(node)
+        # leak_labels is an out-of-model ablation: every node is its own id
+        # (e.g. grid coordinates), which real adversaries would never hand
+        # an algorithm.
+        ids = iter(fresh) if self.leak_labels else self._ids
+        return reveal_ball(
+            self.tracker, self._id_of, fresh, self.host.neighbors, node, ids,
+            None, model="online-local", seen=len(self._seen),
+        )
 
     def run(self, order: Iterable[HostNode]) -> Dict[HostNode, Color]:
         """Reveal every node in ``order``; returns the full host coloring.
@@ -164,8 +135,9 @@ class OnlineLocalSimulator:
 
     def coloring(self) -> Dict[HostNode, Color]:
         """The partial coloring translated back to host nodes."""
+        node_of = self._host_nodes()
         return {
-            self._node_of[node_id]: color
+            node_of[node_id]: color
             for node_id, color in self.tracker.colors.items()
         }
 

@@ -1,5 +1,7 @@
 """Tests for the Graph substrate."""
 
+import random
+
 import pytest
 
 from repro.graphs.graph import BATCH_TOUCH_LIMIT, LOG_CAPACITY, Graph
@@ -306,6 +308,30 @@ class TestChangeLog:
         recent = g.generation
         g.add_node("fresh")
         assert g.changes_since(recent) == [("add", ("fresh",))]
+
+    def test_reader_within_half_capacity_keeps_every_record(self):
+        """Overflow drops only the older half of the log: a reader that
+        syncs at least every LOG_CAPACITY // 2 records gets exactly the
+        records since its last sync, across several overflows."""
+        rng = random.Random(7)
+        g = Graph()
+        expected = []  # every record ever written, oldest first
+        synced = g.generation
+        synced_at = 0
+        syncs = 0
+        while len(expected) < 4 * LOG_CAPACITY:  # 6 or more overflows
+            for __ in range(rng.randint(1, LOG_CAPACITY // 2)):
+                node = len(expected)
+                if node and rng.random() < 0.5:
+                    g.add_edge(node - 1, node)
+                    expected.append(("add", (node - 1, node)))
+                else:
+                    g.add_node(node)
+                    expected.append(("add", (node,)))
+            assert g.changes_since(synced) == expected[synced_at:]
+            synced, synced_at = g.generation, len(expected)
+            syncs += 1
+        assert syncs > 8
 
     def test_copy_starts_a_fresh_log(self):
         g = Graph(edges=[(1, 2)])

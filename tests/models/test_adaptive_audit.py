@@ -1,10 +1,12 @@
-"""Negative tests for the adaptive instances' final-view audit.
+"""Negative tests for the adaptive instances' audit.
 
-Each game below is honest, so its audit passes.  Each tamper then
-breaks exactly one thing that only the final comparison — the view
-against the host-induced subgraph of the seen region — can see: the
-per-reveal replay still matches, because no tamper changes which ids a
-reveal added.
+Both instances audit through one replay, ``audit_reveals``.  Each game
+below is honest, so its audit passes.  A log whose fresh set lost one id
+must fail the per-reveal replay.  Each tamper in ``TAMPERS`` breaks
+exactly one thing that only the final comparison — the view against the
+host-induced subgraph of the seen region — can see: the per-reveal
+replay still matches, because no tamper changes which ids a reveal
+added.
 """
 
 import pytest
@@ -94,6 +96,15 @@ TAMPERS = [drop_view_edge, add_view_edge, add_isolated_view_node, swap_two_ids]
 def test_honest_game_passes_audit(game):
     inst, _ = GAMES[game]()
     inst.audit()
+
+
+@pytest.mark.parametrize("game", sorted(GAMES))
+def test_tampered_log_fails_replay(game):
+    inst, _ = GAMES[game]()
+    target, fresh = inst._log[1]
+    inst._log[1] = (target, frozenset(sorted(fresh)[:-1]))
+    with pytest.raises(ConsistencyError, match="view growth"):
+        inst.audit()
 
 
 @pytest.mark.parametrize("tamper", TAMPERS, ids=lambda fn: fn.__name__)

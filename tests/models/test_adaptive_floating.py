@@ -106,7 +106,7 @@ class TestMerge:
         inst.reveal(a, (0, 0))
         inst.reveal(b, (0, 0))
         inst.merge(a, b, dx=10, dy=0)
-        with pytest.raises(Exception):
+        with pytest.raises(ConsistencyError, match="not live"):
             inst.reveal(b, (1, 0))
 
     def test_merge_self_rejected(self):

@@ -344,6 +344,39 @@ def test_log_overflow_rebuilds():
     check_all(oracle, graph, some_components(graph, rng), "after overflow")
 
 
+def test_synced_oracle_keeps_its_state_across_overflows():
+    """A long-lived oracle synced every few hundred records: the log keeps
+    a window of at least LOG_CAPACITY // 2 records, so across several
+    overflows the oracle never loses the history since its last call,
+    never starts over, and still matches the reference."""
+    rng = random.Random(18)
+    graph = Graph(edges=[(0, 1), (1, 2), (0, 2)])
+    oracle = KTreeOracle(2)
+    assert_agrees(oracle, graph, {0}, "seed triangle")
+    resets = []
+    reset = oracle._reset
+    oracle._reset = lambda g: (resets.append(g.generation), reset(g))
+    start = synced = graph.generation
+    edges = [(0, 1)]
+    label = 3
+    while graph.generation - start < 4 * LOG_CAPACITY:  # 6 or more overflows
+        for __ in range(rng.randint(50, 120)):
+            # Attach a new node to a random edge, one record per element.
+            u, v = rng.choice(edges)
+            graph.add_node(label)
+            graph.add_edge(label, u)
+            graph.add_edge(label, v)
+            edges += [(label, u), (label, v)]
+            label += 1
+        assert graph.changes_since(synced) is not None
+        check_all(
+            oracle, graph, [{label - 1}, {u, v}, {rng.randrange(label)}],
+            f"generation {graph.generation}",
+        )
+        synced = graph.generation
+    assert resets == []
+
+
 def test_oversized_batch_rebuilds():
     """A batch() touching more than BATCH_TOUCH_LIMIT nodes writes one
     "bulk" record without a node list."""
