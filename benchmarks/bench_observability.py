@@ -42,6 +42,7 @@ import time
 from repro.adversaries.grid import GridAdversary
 from repro.analysis.tables import render_table
 from repro.core.baselines import GreedyOnlineColorer
+from repro.graphs.traversal import BallCache
 from repro.observability.metrics import (
     MetricsRegistry,
     NullRegistry,
@@ -132,14 +133,17 @@ def check_merge_parity(localities=(1,), rounds=1, shards=2) -> dict:
     This is exactly what the campaign worker pool does per ack: every
     worker folds its games into a private registry and ships the
     snapshot; the parent merges.  The workload is deterministic, so any
-    divergence is a merge bug, not noise.
+    divergence is a merge bug, not noise.  Both passes start from a cold
+    ball pool, so they compare real hit/miss counts.
     """
     with timed_phases():
+        BallCache.clear_shared_store()
         with scoped_registry() as serial:
             for _ in range(shards):
                 play_games(localities, rounds)
             serial_view = _mergeable_view(serial.snapshot())
 
+        BallCache.clear_shared_store()
         parent = MetricsRegistry()
         for _ in range(shards):
             with scoped_registry() as shard:

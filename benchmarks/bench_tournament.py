@@ -351,7 +351,6 @@ def main(argv=None):
           f"over {hit['per_reveal']['reveals']} reveals")
     session = report["ball_cache_session"]
     print(f"ball cache (whole session): {session['hit_rate']:.0%} hit rate, "
-          f"{session['evictions']} evictions, "
           f"{session['full_flushes']} full flushes")
     scaling = report["campaign_scaling"]
     print("\ncampaign pool scaling "

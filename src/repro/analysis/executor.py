@@ -28,7 +28,7 @@ Guarantees:
   per *process* (see ``docs/performance.md``), so while the query total
   (``ball_cache_hits + ball_cache_misses``) and every simulation counter
   are partition-independent, the hit/miss *split* — and the
-  eviction/flush counters that ride along the same snapshots — depend
+  bucket-reattach counter that rides along the same snapshots — depends
   on which process played which games.
 * **Traces shard per process** — with ``GameSpec.trace_path`` set (and
   no tracer already active), records go to this process's shard file,

@@ -13,9 +13,9 @@ hot paths rely on (see ``docs/performance.md``):
 
 * a monotone :attr:`~Graph.generation` counter, bumped once per structural
   change (or once per :meth:`~Graph.batch` block);
-* a bounded **structural change log** so caches can invalidate *scoped* to
-  the nodes a mutation touched instead of flushing wholesale
-  (:meth:`~Graph.changes_since`);
+* a bounded **structural change log** so derived state can catch up
+  from the nodes a mutation touched instead of rebuilding
+  (:meth:`~Graph.changes_since`; its reader is the clique-chain oracle);
 * an order-independent **structural fingerprint** so caches can recognize
   independently built but identical graphs (:attr:`~Graph.fingerprint`),
   computed on first read and kept up to date from then on;
@@ -47,9 +47,9 @@ Edge = Tuple[Node, Node]
 LOG_CAPACITY = 4096
 
 #: Touched-node sets larger than this are recorded as an opaque ``bulk``
-#: record (consumers full-flush) instead of an explicit node list —
-#: scanning a huge touched set per cached ball would cost more than the
-#: recompute it avoids.
+#: record (consumers rebuild) instead of an explicit node list —
+#: replaying a huge touched set would cost more than the rebuild it
+#: avoids.
 BATCH_TOUCH_LIMIT = 512
 
 _FP_MASK = (1 << 64) - 1
@@ -191,9 +191,9 @@ class Graph:
         A block that raises after mutating still bumps the generation
         (the mutations *did* apply — adjacency and fingerprint already
         reflect them), but commits a conservative ``"remove"``/``"bulk"``
-        record instead of the scoped touched set: the caller aborted
-        mid-way, so consumers must treat the partial state as an opaque
-        change and flush wholesale.  The exception is re-raised.
+        record instead of the touched set: the caller aborted mid-way,
+        so consumers must treat the partial state as an opaque change
+        and rebuild.  The exception is re-raised.
         """
         self._batch_depth += 1
         if self._batch_depth == 1:
@@ -226,10 +226,10 @@ class Graph:
         Returns ``None`` when the history is unknowable — ``generation``
         predates the log floor (records were dropped on overflow) or does
         not correspond to a state this graph has been in.  Consumers must
-        then invalidate wholesale.  ``kind`` is ``"add"`` (nodes/edges
-        added; ``nodes`` lists every touched endpoint), ``"remove"`` (at
-        least one removal; balls may shrink), or ``"bulk"`` (an oversized
-        batch recorded without a node list).
+        then rebuild.  ``kind`` is ``"add"`` (nodes/edges added; ``nodes``
+        lists every touched endpoint), ``"remove"`` (at least one
+        removal), or ``"bulk"`` (an oversized batch recorded without a
+        node list).
         """
         if generation == self._generation:
             return []
@@ -335,10 +335,12 @@ class Graph:
         """Monotone mutation counter; bumps once per structural change
         (or once per :meth:`batch` block).
 
-        Derived-data caches (e.g. :class:`repro.graphs.traversal.BallCache`)
-        key their validity on this: a cache built at generation ``g`` is
-        stale exactly when ``graph.generation != g``, and can consult
-        :meth:`changes_since` to invalidate only what the change touched.
+        Derived-data caches key their validity on this: one built at
+        generation ``g`` is stale exactly when ``graph.generation != g``.
+        :class:`~repro.graphs.traversal.BallCache` then rebinds to its
+        pool's table for the new structure; the clique-chain oracle
+        reads :meth:`changes_since` to update only what the change
+        touched.
         """
         return self._generation
 

@@ -18,51 +18,21 @@ Node = Hashable
 
 _BALL_HITS = BoundCounter("ball_cache_hits")
 _BALL_MISSES = BoundCounter("ball_cache_misses")
-_BALL_EVICTIONS = BoundCounter("ball_cache_evictions")
-_SCOPED_FLUSHES = BoundCounter("ball_cache_scoped_flushes")
 _FULL_FLUSHES = BoundCounter("ball_cache_full_flushes")
 _BUCKET_REATTACHES = BoundCounter("ball_cache_bucket_reattach")
 
-# Phase-attribution handles (repro.observability.timers): miss-path ball
-# extraction and cache re-sync are the graph layer's rows in the phase
-# table (nested inside compute, so informational — not coverage).
+# Phase-attribution handle (repro.observability.timers): miss-path ball
+# extraction is the graph layer's row in the phase table (nested inside
+# compute, so informational — not coverage).
 _T_BALL_EXTRACT = phase_timer("ball-extract")
-_T_CACHE_SYNC = phase_timer("cache-sync")
 
 #: Names of the registry counters the cache maintains, in reporting order.
 _CACHE_COUNTERS = (
     "ball_cache_hits",
     "ball_cache_misses",
-    "ball_cache_evictions",
-    "ball_cache_scoped_flushes",
     "ball_cache_full_flushes",
     "ball_cache_bucket_reattach",
 )
-
-_invalidation_policy = "scoped"
-
-
-def set_invalidation_policy(policy: str) -> str:
-    """Select how new :class:`BallCache` instances invalidate.
-
-    ``"scoped"`` (the default) drains the graph's structural change log,
-    evicts only balls a mutation touched, and pools balls across caches
-    whose graphs share a structural fingerprint.  ``"wholesale"`` is the
-    historical baseline: per-instance storage cleared on any generation
-    bump — kept so ``benchmarks/bench_ballcache.py`` can measure the
-    difference.  Returns the previous policy (for restore).
-    """
-    global _invalidation_policy
-    if policy not in ("scoped", "wholesale"):
-        raise ValueError(f"unknown invalidation policy {policy!r}")
-    previous = _invalidation_policy
-    _invalidation_policy = policy
-    return previous
-
-
-def get_invalidation_policy() -> str:
-    """The policy new :class:`BallCache` instances are built with."""
-    return _invalidation_policy
 
 
 def _as_sources(sources: Union[Node, Iterable[Node]], graph: Graph) -> List[Node]:
@@ -175,22 +145,12 @@ def ball(graph: Graph, sources: Union[Node, Iterable[Node]], radius: int) -> Set
 
 
 class BallCache:
-    """Memoized :func:`ball` queries over one (mostly static) graph.
+    """Memoized :func:`ball` queries over one graph.
 
     The simulators and adversaries recompute the same radius-T balls for
     every reveal and again during audits; on a fixed host that BFS work
     is identical each time.  Each ball is stored as a frozenset keyed by
     ``(source, radius)``.
-
-    Invalidation (under the default ``"scoped"`` policy) is *incremental*:
-    when :attr:`~repro.graphs.graph.Graph.generation` moves, the cache
-    drains the graph's structural change log and evicts a cached ball only
-    when a touched endpoint lies **inside** the cached frozenset.  This is
-    sound for node/edge additions: a new edge can only shorten a distance
-    into B(s, r) via a path whose first new-edge endpoint already lies
-    strictly inside the old ball, so a ball disjoint from the touched set
-    is unchanged.  Removals can shrink balls from anywhere, so any removal
-    (and a log overflow or oversized batch) triggers a full flush.
 
     Storage is pooled process-wide by the graph's structural key
     (``(n, m, fingerprint)``): independently built but identical hosts —
@@ -198,15 +158,22 @@ class BallCache:
     share one ball table, so the second game's reveals hit immediately.
     The pool is LRU-bounded; :meth:`reset` clears it.
 
+    Every game's host is fixed before its first ball query, so the cache
+    carries no ball across a change to its graph: when
+    :attr:`~repro.graphs.graph.Graph.generation` moves, it rebinds to the
+    pooled table of the graph's new structure (a *full flush*).  That is
+    sound because the pool is keyed by structure, and it means a graph
+    that returns to an earlier structure finds that structure's table.
+
     Cached balls are **frozensets shared between callers** — treat them
     as immutable (every set-algebra reader in the codebase already does).
     Unhashable source specs (lists/sets of nodes) fall through to an
     uncached BFS.
 
-    Instances count ``hits``/``misses``/``evictions``/flushes; the
-    process-wide aggregates live in the active metrics registry
-    (``ball_cache_hits``, ``ball_cache_misses``, ``ball_cache_evictions``,
-    ``ball_cache_scoped_flushes``, ``ball_cache_full_flushes``), so
+    Instances count ``hits``/``misses``/``full_flushes``/bucket
+    reattaches; the process-wide aggregates live in the active metrics
+    registry (``ball_cache_hits``, ``ball_cache_misses``,
+    ``ball_cache_full_flushes``, ``ball_cache_bucket_reattach``), so
     benchmarks can report hit rates without threading every simulator's
     cache out, and parallel sweeps ship worker counts back to the parent
     as registry snapshots.
@@ -220,19 +187,12 @@ class BallCache:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._generation = graph.generation
-        self._policy = _invalidation_policy
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.scoped_flushes = 0
         self.full_flushes = 0
         self.bucket_reattaches = 0
-        if self._policy == "scoped":
-            self._key = graph.structural_key()
-            self._balls = self._bucket_for(self._key)
-        else:
-            self._key = None
-            self._balls: Dict[tuple, FrozenSet[Node]] = {}
+        self._key = graph.structural_key()
+        self._balls = self._bucket_for(self._key)
 
     @classmethod
     def _bucket_for(cls, key: tuple) -> Dict[tuple, FrozenSet[Node]]:
@@ -254,11 +214,11 @@ class BallCache:
         :meth:`_bucket_for` can evict a bucket a live cache still holds
         as ``self._balls``; the orphan keeps serving *this* cache
         correctly but new caches for the same structural key start
-        empty, silently losing cross-game sharing.  Called on every sync
-        and on every miss (one dict lookup, dwarfed by the BFS the miss
-        already pays): re-inserts the orphan — or, when another cache
-        already re-created the bucket, merges into and adopts the pooled
-        one — and counts the repair in ``ball_cache_bucket_reattach``.
+        empty, silently losing cross-game sharing.  Called on every miss
+        (one dict lookup, dwarfed by the BFS the miss already pays):
+        re-inserts the orphan — or, when another cache already re-created
+        the bucket, merges into and adopts the pooled one — and counts
+        the repair in ``ball_cache_bucket_reattach``.
         """
         store = type(self)._shared_store
         pooled = store.get(self._key)
@@ -277,50 +237,12 @@ class BallCache:
         _BUCKET_REATTACHES.inc()
 
     def _sync(self) -> None:
-        """Catch up with the graph after a generation change."""
-        with _T_CACHE_SYNC:
-            self._sync_inner()
-
-    def _sync_inner(self) -> None:
-        generation = self.graph.generation
-        if self._policy == "wholesale":
-            self._balls.clear()
-            self.full_flushes += 1
-            _FULL_FLUSHES.inc()
-            self._generation = generation
-            return
-        self._reattach_bucket()
-        changes = self.graph.changes_since(self._generation)
-        new_key = self.graph.structural_key()
-        new_bucket = self._bucket_for(new_key)
-        if changes is None or any(kind != "add" for kind, _ in changes):
-            # Unknowable history, a removal, or an opaque bulk batch:
-            # nothing from the old table can be trusted.  (The old bucket
-            # stays in the pool under the old key — it is still valid for
-            # graphs *at* that structure.)
-            self.full_flushes += 1
-            _FULL_FLUSHES.inc()
-        else:
-            touched: Set[Node] = set()
-            for _, nodes in changes:
-                touched.update(nodes)
-            evicted = 0
-            for key, ballset in self._balls.items():
-                if key in new_bucket:
-                    continue
-                if ballset.isdisjoint(touched):
-                    # Additions only grow balls, and none touched this
-                    # one: it is byte-identical on the new structure.
-                    new_bucket[key] = ballset
-                else:
-                    evicted += 1
-            self.evictions += evicted
-            self.scoped_flushes += 1
-            _BALL_EVICTIONS.inc(evicted)
-            _SCOPED_FLUSHES.inc()
-        self._balls = new_bucket
-        self._key = new_key
-        self._generation = generation
+        """Rebind to the pooled table of the graph's current structure."""
+        self._key = self.graph.structural_key()
+        self._balls = self._bucket_for(self._key)
+        self._generation = self.graph.generation
+        self.full_flushes += 1
+        _FULL_FLUSHES.inc()
 
     def ball(
         self, sources: Union[Node, Iterable[Node]], radius: int
@@ -339,8 +261,7 @@ class BallCache:
             return cached
         self.misses += 1
         _BALL_MISSES.inc()
-        if self._policy == "scoped":
-            self._reattach_bucket()
+        self._reattach_bucket()
         result = frozenset(ball(self.graph, sources, radius))
         self._balls[key] = result
         return result
@@ -352,8 +273,6 @@ class BallCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hits / total if total else 0.0,
-            "evictions": self.evictions,
-            "scoped_flushes": self.scoped_flushes,
             "full_flushes": self.full_flushes,
             "bucket_reattaches": self.bucket_reattaches,
         }
@@ -373,8 +292,6 @@ class BallCache:
             "hits": hits,
             "misses": misses,
             "hit_rate": hits / total if total else 0.0,
-            "evictions": registry.counter("ball_cache_evictions").value,
-            "scoped_flushes": registry.counter("ball_cache_scoped_flushes").value,
             "full_flushes": registry.counter("ball_cache_full_flushes").value,
             "bucket_reattaches": registry.counter("ball_cache_bucket_reattach").value,
         }

@@ -284,10 +284,9 @@ class FloatingGridInstance:
         """
         if self.host is not None:
             raise ConsistencyError("already committed")
-        if not self._fragments:
-            raise ConsistencyError("nothing revealed; nothing to commit")
         # Stack fragments: the reference fragment keeps its frame;
-        # others are translated below it.
+        # others are translated below it.  A fragment with no revealed
+        # node constrains nothing and takes no place in the stack.
         handles = sorted(self._fragments)
         if reference is not None:
             if reference not in self._fragments:
@@ -296,10 +295,12 @@ class FloatingGridInstance:
                 )
             handles.remove(reference)
             handles.insert(0, reference)
+        frames = [self._fragments[h] for h in handles if self._fragments[h]]
+        if not frames:
+            raise ConsistencyError("nothing revealed; nothing to commit")
         global_seen: Dict[Coord, NodeId] = {}
         floor = None
-        for handle in handles:
-            frame = self._fragments[handle]
+        for frame in frames:
             shift = 0
             if floor is not None:
                 shift = floor - max(y for _, y in frame) - (2 * self.locality + 2)

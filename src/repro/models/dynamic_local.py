@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Set
 
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import BallCache, ball
+from repro.graphs.traversal import ball
 
 Node = Hashable
 Color = int
@@ -80,11 +80,11 @@ class DynamicLocalSimulator:
         self.algorithm = algorithm
         self.locality = locality
         self.num_colors = num_colors
+        # The graph changes on every insert, so each insertion's one
+        # ball is computed fresh rather than through a BallCache: a
+        # cache would rebind to a new structure's pooled table every
+        # step, never hit, and fill the process-wide pool.
         self.graph = Graph()
-        # The graph mutates on every insert, which is exactly the workload
-        # scoped invalidation exists for: each insert evicts only balls
-        # the new node landed in, instead of flushing the whole cache.
-        self._balls = BallCache(self.graph)
         self.colors: Dict[Node, Color] = {}
         self.recolor_counts: Dict[Node, int] = {}
         algorithm.reset(locality=locality, num_colors=num_colors)
@@ -103,7 +103,7 @@ class DynamicLocalSimulator:
             for nbr in neighbors:
                 self.graph.add_edge(node, nbr)
 
-        allowed = self._balls.ball(node, self.locality)
+        allowed = frozenset(ball(self.graph, node, self.locality))
         view = DynamicView(
             graph=self.graph.induced_subgraph(allowed),
             new_node=node,

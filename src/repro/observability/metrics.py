@@ -22,6 +22,7 @@ Instrument names used across the harness (see ``docs/observability.md``):
 ``reveals_total``           Online-LOCAL reveals (all simulator kinds)
 ``ball_cache_hits``         :class:`BallCache` memoized ball hits
 ``ball_cache_misses``       :class:`BallCache` BFS recomputations
+``ball_cache_full_flushes``  :class:`BallCache` rebinds after its graph changed
 ``ball_cache_bucket_reattach``  shared-pool buckets repaired after LRU orphaning
 ``adversary_rounds``        b-value concatenation / commitment rounds
 ``supervisor_forfeits``     games decided by forfeit, not on the board

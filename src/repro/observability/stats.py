@@ -174,14 +174,9 @@ def render_stats(stats: TraceStats, top: int = 5) -> str:
         sections.append(
             f"\nball cache hit rate: {rate:.1%} ({hits}/{hits + misses})"
         )
-        evictions = stats.metrics.counter("ball_cache_evictions").value
-        scoped = stats.metrics.counter("ball_cache_scoped_flushes").value
         full = stats.metrics.counter("ball_cache_full_flushes").value
-        if evictions or scoped or full:
-            sections.append(
-                f"ball cache invalidation: {evictions} evictions, "
-                f"{scoped} scoped flushes, {full} full flushes"
-            )
+        if full:
+            sections.append(f"ball cache full flushes: {full}")
 
     snapshot = stats.metrics.snapshot()
     if any(snapshot.values()):

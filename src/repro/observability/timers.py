@@ -45,7 +45,6 @@ Phases instrumented across the harness (see ``docs/observability.md``):
                     serial runs
 ``store-fsync``     ResultStore row append + fsync
 ``ball-extract``    miss-path neighborhood-ball extraction (BFS sweep)
-``cache-sync``      BallCache catching up with graph generation changes
 ``worker:pipe-recv``  worker idle, waiting for the next leased game
 ==================  ====================================================
 

@@ -1,12 +1,14 @@
 """Tests for the campaign engine: spec expansion, store dedupe,
 kill-and-resume, and the adaptive threshold search."""
 
+import json
 import os
 import signal
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.analysis.campaign import (
     threshold_table,
 )
 from repro.analysis.store import ResultStore
+from repro.observability.metrics import scoped_registry
 from repro.registry import FIXED_VICTIM
 
 #: A two-adversary, two-victim, two-locality sweep: 8 fast games.
@@ -690,7 +693,6 @@ def test_example_specs_are_versioned():
     """The shipped example specs declare the schema version (the
     migration the version field's introduction required)."""
     import glob
-    import json
 
     examples = sorted(glob.glob(
         os.path.join(os.path.dirname(__file__), "..", "..",
@@ -700,3 +702,59 @@ def test_example_specs_are_versioned():
     for path in examples:
         with open(path, "r", encoding="utf-8") as handle:
             assert json.load(handle)["version"] == 1, path
+
+
+# ----------------------------------------------------------------------
+# Pinned work counts
+# ----------------------------------------------------------------------
+
+#: Every default adversary but theorem5-reduction (whose inner view's
+#: iteration order depends on ``PYTHONHASHSEED``) x the three honest
+#: victims x T = 1, 2: 30 games.
+WORK_COUNT_CAMPAIGN = CampaignSpec(
+    name="work-counts",
+    adversaries=(
+        "theorem1-grid",
+        "theorem2-torus",
+        "theorem2-cylinder",
+        "theorem3-gadget(2k-2)",
+        "corollary13-gadget(k+1)",
+    ),
+    victims=("greedy", "akbari", "local-canonical"),
+    localities=(1, 2),
+)
+
+#: The counters :data:`WORK_COUNT_CAMPAIGN` folds into the registry.  A
+#: change that moves one of them changes the algorithmic work the games
+#: do; such a change rewrites this file with the new counts and says why.
+WORK_COUNT_FILE = Path(__file__).with_name("work_counts.json")
+
+
+def _work_counts(store_dir, workers):
+    """The campaign's non-``campaign_`` counters, from a cold ball pool
+    (the autouse fixture clears it before every test)."""
+    with scoped_registry() as registry:
+        outcome = run_campaign(WORK_COUNT_CAMPAIGN, store_dir, workers=workers)
+        counters = registry.snapshot()["counters"]
+    assert (outcome.played, outcome.errors) == (30, [])
+    return {
+        name: value
+        for name, value in counters.items()
+        if not name.startswith("campaign_")
+    }
+
+
+def test_serial_work_counts_are_pinned(tmp_path):
+    expected = json.loads(WORK_COUNT_FILE.read_text(encoding="utf-8"))
+    assert _work_counts(tmp_path, workers=None) == expected["serial"]
+
+
+def test_pooled_work_counts_are_pinned(tmp_path):
+    """The pool is per process, so the hit/miss split depends on which
+    worker played which game; the query total does not."""
+    expected = json.loads(WORK_COUNT_FILE.read_text(encoding="utf-8"))
+    counts = _work_counts(tmp_path, workers=2)
+    counts["ball_cache_queries"] = counts.pop("ball_cache_hits") + counts.pop(
+        "ball_cache_misses"
+    )
+    assert counts == expected["workers=2"]

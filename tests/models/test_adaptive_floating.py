@@ -207,3 +207,34 @@ def test_commit_reference_must_be_alive():
     inst.reveal(frag, (0, 0))
     with pytest.raises(ConsistencyError, match="not alive"):
         inst.commit(reference=99)
+
+
+class TestCommitSkipsUnrevealedFragments:
+    """A declared fragment with no revealed node takes no place in the
+    commit's stack, wherever it sits in the stacking order."""
+
+    def test_only_an_empty_fragment_is_nothing_to_commit(self):
+        inst = make_instance()
+        inst.new_fragment()
+        with pytest.raises(ConsistencyError, match="nothing revealed"):
+            inst.commit()
+
+    def test_empty_fragment_before_a_revealed_one(self):
+        inst = make_instance(locality=1)
+        inst.new_fragment()
+        frag = inst.new_fragment()
+        inst.reveal(frag, (0, 0))
+        color = inst.fragment_color(frag, (0, 0))
+        host = inst.commit()
+        assert (host.rows, host.cols) == (5, 5)
+        assert inst.color_at((0, 0)) == color
+        inst.audit()
+
+    def test_empty_fragment_after_a_revealed_one(self):
+        inst = make_instance(locality=1)
+        frag = inst.new_fragment()
+        inst.new_fragment()
+        inst.reveal(frag, (0, 0))
+        host = inst.commit()
+        assert (host.rows, host.cols) == (5, 5)
+        inst.audit()

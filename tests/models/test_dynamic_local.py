@@ -3,6 +3,7 @@
 import pytest
 
 from repro.families.grids import SimpleGrid
+from repro.graphs.traversal import BallCache, ball
 from repro.models.dynamic_local import (
     DynamicBipartiteRecolor,
     DynamicGreedy,
@@ -182,6 +183,27 @@ def test_recolor_counter():
     before = sim.total_recolorings()
     sim.insert("m", ["a0", "b1"])
     assert sim.total_recolorings() >= before
+
+
+def test_insertions_leave_the_ball_pool_alone():
+    """Every insertion changes the graph's structure, so the simulator
+    computes its one ball per insertion with ``ball()`` instead of
+    pooling balls no later structure could hit."""
+    BallCache(SimpleGrid(8, 8).graph).ball((0, 0), 1)
+    pooled = list(BallCache._shared_store)
+    views = []
+
+    class Recording(DynamicGreedy):
+        def update(self, view):
+            views.append(frozenset(view.graph.nodes()))
+            return super().update(view)
+
+    sim = DynamicLocalSimulator(Recording(), locality=2, num_colors=3)
+    for i in range(200):
+        sim.insert(i, [i - 1] if i else [])
+        assert views[-1] == ball(sim.graph, i, 2)
+    assert len(views) == 200
+    assert list(BallCache._shared_store) == pooled
 
 
 class TestFullyDynamic:
