@@ -19,44 +19,31 @@ are asserted.  The best-fit model is printed for the record.
 """
 
 
-from conftest import akbari_survives, akbari_threshold, paper_akbari_budget
-from repro.analysis.experiments import threshold_locality
+from conftest import akbari_threshold, paper_akbari_budget
+from repro.analysis.experiments import (
+    survives_scattered_order,
+    threshold_locality,
+)
 from repro.analysis.fitting import best_growth_model
 from repro.analysis.tables import render_table
-from repro.core.baselines import CanonicalLocalColorer
-from repro.families.grids import SimpleGrid
-from repro.families.random_graphs import scattered_reveal_order
-from repro.models.online_local import OnlineLocalSimulator
-from repro.models.simulation import LocalAsOnline
-from repro.verify.coloring import is_proper
 
 # The full sweep (incl. side 32) runs in repro.analysis.report; the
 # bench asserts on a faster subset.
 SIDES = (8, 12, 16, 24)
 
 
-def local_baseline_survives(grid: SimpleGrid, locality: int, seed: int) -> bool:
-    sim = OnlineLocalSimulator(
-        grid.graph,
-        LocalAsOnline(CanonicalLocalColorer()),
-        locality=locality,
-        num_colors=3,
-    )
-    order = scattered_reveal_order(sorted(grid.graph.nodes()), seed=seed)
-    coloring = sim.run(order)
-    return is_proper(grid.graph, coloring)
-
-
 def measure():
     rows = []
     for side in SIDES:
         n = side * side
-        grid = SimpleGrid(side, side)
         budget = paper_akbari_budget(n)
         online = akbari_threshold(side, seeds=range(2), high=budget + 4)
         local = threshold_locality(
             lambda T: all(
-                local_baseline_survives(grid, T, seed) for seed in range(2)
+                survives_scattered_order(
+                    "local-canonical", T, seed, family="grid", rows=side
+                )
+                for seed in range(2)
             ),
             low=0,
             high=2 * side + 2,
@@ -95,7 +82,8 @@ def test_corollary11_upper_bound_and_separation():
 
 
 def test_bench_corollary11(benchmark):
-    grid = SimpleGrid(16, 16)
     budget = paper_akbari_budget(256)
-    ok = benchmark(lambda: akbari_survives(grid, budget, seed=0))
+    ok = benchmark(lambda: survives_scattered_order(
+        "akbari", budget, 0, family="grid", rows=16
+    ))
     assert ok

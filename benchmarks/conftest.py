@@ -7,38 +7,20 @@ finally times a representative run under pytest-benchmark.
 
 import math
 
-from repro.analysis.experiments import threshold_locality
-from repro.core.akbari import AkbariBipartiteColoring
-from repro.families.grids import SimpleGrid
-from repro.families.random_graphs import scattered_reveal_order
-from repro.models.online_local import OnlineLocalSimulator
-from repro.robustness.errors import ReproError
-from repro.verify.coloring import is_proper
-
-
-def akbari_survives(grid: SimpleGrid, locality: int, seed: int) -> bool:
-    """One survival trial: Akbari vs one adversarial order on the grid.
-
-    Only structured failures (:class:`ReproError` — protocol violations,
-    oracle failures) count as losses; anything else is a harness bug and
-    must propagate instead of being silently scored as a defeat.
-    """
-    sim = OnlineLocalSimulator(
-        grid.graph, AkbariBipartiteColoring(), locality=locality, num_colors=3
-    )
-    order = scattered_reveal_order(sorted(grid.graph.nodes()), seed=seed)
-    try:
-        coloring = sim.run(order)
-    except ReproError:
-        return False
-    return is_proper(grid.graph, coloring)
+from repro.analysis.experiments import (
+    survives_scattered_order,
+    threshold_locality,
+)
 
 
 def akbari_threshold(side: int, seeds=range(3), high: int = 64):
-    """Smallest locality at which Akbari survives the whole order battery."""
-    grid = SimpleGrid(side, side)
+    """Smallest locality at which Akbari survives the whole order battery
+    on the side × side grid."""
     return threshold_locality(
-        lambda T: all(akbari_survives(grid, T, seed) for seed in seeds),
+        lambda T: all(
+            survives_scattered_order("akbari", T, seed, family="grid", rows=side)
+            for seed in seeds
+        ),
         low=0,
         high=high,
     )

@@ -2,7 +2,9 @@
 
 The campaign engine (:mod:`repro.analysis.campaign`) distributes games
 over its supervised worker pool (:mod:`repro.analysis.worker_pool`) or
-plays them inline; either way the unit is a :class:`GameSpec` — a
+plays them inline, and a single game (:func:`repro.api.run_game`, the
+``adversary`` and ``upper-bound`` commands) is the one game of a
+one-game campaign spec; either way the unit is a :class:`GameSpec` — a
 *picklable description* of one game (adversary name, victim name,
 locality, policy), never a live adversary or algorithm object.
 :func:`play_spec` resolves the names through the factory registries
@@ -15,8 +17,9 @@ Guarantees:
 
 * **Per-game policies wherever the game runs** — the game plays under
   the spec's :class:`~repro.robustness.supervisor.GamePolicy`; pool
-  workers and the CLI play on their process's main thread, where the
-  preemptive ``SIGALRM`` watchdog works.
+  workers, the serial campaign path, :func:`repro.api.run_game` and the
+  single-game CLI commands all play on their process's main thread,
+  where the preemptive ``SIGALRM`` watchdog works.
 * **Metrics survive the process boundary** — each game plays under a
   fresh :func:`~repro.observability.metrics.scoped_registry`, and the
   registry snapshot travels back alongside the row
@@ -41,6 +44,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.adversaries.result import AdversaryResult
 from repro.observability.metrics import scoped_registry
 from repro.observability.trace import TRACER, JsonlTraceRecorder, shard_path
 from repro.robustness.supervisor import GamePolicy, SupervisedGame
@@ -70,16 +74,25 @@ class GameSpec:
 
 @dataclass
 class WorkerResult:
-    """What one game ships back across the process boundary: the row
-    plus the game's metrics-registry snapshot (its exact metric delta,
-    thanks to the per-game :func:`scoped_registry`)."""
+    """One finished game: the row, the game's metrics-registry snapshot
+    (its exact metric delta, thanks to the per-game
+    :func:`scoped_registry`) and the game's
+    :class:`~repro.adversaries.result.AdversaryResult`.
+
+    ``result`` is the evidence the row leaves out — the witness edge and
+    the adversary's stats — for in-process callers that print it (the
+    single-game CLI commands).  Pool workers send rows only, so it never
+    crosses a pipe and never reaches the store."""
 
     row: Any
     metrics: Dict[str, Any] = field(default_factory=dict)
+    result: Optional[AdversaryResult] = None
 
 
 def play_spec(spec: GameSpec) -> WorkerResult:
-    """Play one game described by ``spec``; returns a :class:`WorkerResult`.
+    """Play one game described by ``spec``; returns its row, metric
+    snapshot and :class:`~repro.adversaries.result.AdversaryResult` as a
+    :class:`WorkerResult`.
 
     Runs inside a pool worker or inline (the campaign's serial path and
     the tests).  Adversary and victim are resolved by name through
@@ -134,4 +147,4 @@ def play_spec(spec: GameSpec) -> WorkerResult:
     finally:
         if activated:
             TRACER.deactivate()
-    return WorkerResult(row=row, metrics=snapshot)
+    return WorkerResult(row=row, metrics=snapshot, result=result)

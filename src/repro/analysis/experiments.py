@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.robustness.errors import ReproError
+
 
 @dataclass
 class ExperimentRecord:
@@ -46,6 +48,29 @@ def threshold_locality(
         else:
             lo = mid + 1
     return lo
+
+
+def survives_scattered_order(
+    victim: str, locality: int, seed: int, **host: Any
+) -> bool:
+    """Whether ``victim`` survives one seeded scattered reveal order of a
+    family's host: the registered ``scattered-order`` game, played by
+    :func:`repro.api.run_game`.  ``host`` names the family and its size
+    params (``family="grid", rows=16``).
+
+    A defeat on the board and a ``forfeit:model-violation`` are losses.
+    Any other forfeit (a crash, a timeout, a harness error) is an error,
+    not a loss, so it raises :class:`~repro.robustness.errors.ReproError`.
+    """
+    from repro.api import run_game  # repro.api imports this package
+
+    row = run_game("scattered-order", victim, locality, seed=seed, **host)
+    if row.forfeit and row.reason != "forfeit:model-violation":
+        raise ReproError(
+            f"{victim} at T={locality}, seed {seed}: {row.reason} "
+            f"({row.detail})"
+        )
+    return not row.won
 
 
 def survival_battery(

@@ -20,7 +20,10 @@ from repro.adversaries.grid import GridAdversary
 from repro.adversaries.path_builder import PathBuilder
 from repro.adversaries.reduction import reduce_to_grid
 from repro.adversaries.torus import TorusAdversary
-from repro.analysis.experiments import threshold_locality
+from repro.analysis.experiments import (
+    survives_scattered_order,
+    threshold_locality,
+)
 from repro.analysis.fitting import best_growth_model, fit_growth
 from repro.analysis.tables import render_table
 from repro.core.akbari import AkbariBipartiteColoring
@@ -36,18 +39,6 @@ from repro.models.online_local import OnlineLocalSimulator
 from repro.models.simulation import LocalAsOnline
 from repro.oracles import CliqueChainOracle, KTreeOracle, TriangularOracle
 from repro.verify.coloring import is_proper
-
-
-def _akbari_survives(grid: SimpleGrid, locality: int, seed: int) -> bool:
-    sim = OnlineLocalSimulator(
-        grid.graph, AkbariBipartiteColoring(), locality=locality, num_colors=3
-    )
-    order = scattered_reveal_order(sorted(grid.graph.nodes()), seed=seed)
-    try:
-        coloring = sim.run(order)
-    except Exception:
-        return False
-    return is_proper(grid.graph, coloring)
 
 
 def section_theorem1(out: List[str]) -> None:
@@ -142,10 +133,14 @@ def section_corollary11(out: List[str]) -> None:
     rows = []
     for side in (8, 12, 16, 24, 32):
         n = side * side
-        grid = SimpleGrid(side, side)
         budget = 3 * math.ceil(math.log2(n))
         online = threshold_locality(
-            lambda T: all(_akbari_survives(grid, T, s) for s in range(3)),
+            lambda T: all(
+                survives_scattered_order(
+                    "akbari", T, s, family="grid", rows=side
+                )
+                for s in range(3)
+            ),
             low=0,
             high=budget + 4,
         )

@@ -51,7 +51,7 @@ Spec dataclasses (:class:`GameSpec`, :class:`GamePolicy`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.campaign import (
@@ -68,6 +68,7 @@ from repro.analysis.campaign import (
     campaign_from_dict,
     campaign_status,
     covered_rows,
+    freeze_params,
     load_campaign,
     threshold_table,
 )
@@ -75,7 +76,7 @@ from repro.analysis.campaign import (
     run_campaign as _engine_run_campaign,
     run_threshold_search as _engine_run_threshold_search,
 )
-from repro.analysis.executor import GameSpec, play_spec
+from repro.analysis.executor import GameSpec, WorkerResult, play_spec
 from repro.analysis.store import ResultStore, spec_hash
 from repro.analysis.worker_pool import shutdown_warm_pool, warm_pool_size
 from repro.analysis.tournament import (
@@ -83,6 +84,7 @@ from repro.analysis.tournament import (
     clean_sweep,
     honest_rows,
 )
+from repro.observability.metrics import get_registry
 from repro.registry import (
     FIXED_VICTIM,
     FixedVictimGame,
@@ -444,25 +446,46 @@ def run_game(
     ``params`` are forwarded to the adversary factory (``k``, ``side``,
     ``topology``, ...).  Fixed-victim adversaries (the Theorem 5
     reduction) ignore ``victim`` and play under the
-    :data:`FIXED_VICTIM` column.
+    :data:`FIXED_VICTIM` column.  ``policy`` defaults to a campaign's:
+    no step budget and a 30 s timeout.  The game is played the way a
+    campaign plays it, and its metric snapshot is folded into the
+    caller's registry.
 
     >>> row = run_game("theorem1-grid", "greedy", locality=1)
     >>> row.won
     True
     """
-    entry = get_adversary(adversary)(locality, **params)
-    if isinstance(entry, FixedVictimGame):
-        victim = FIXED_VICTIM
-    else:
-        get_victim(victim)  # fail fast with the registry's error message
-    spec = GameSpec(
-        adversary=adversary,
-        victim=victim,
-        locality=locality,
-        policy=policy if policy is not None else GamePolicy(timeout=30.0),
-        params=tuple(sorted(params.items())),
+    return _play_game(
+        adversary, victim, locality, policy=policy, **params
+    ).row
+
+
+def _play_game(
+    adversary: str,
+    victim: str,
+    locality: int,
+    *,
+    policy: Optional[GamePolicy] = None,
+    **params: Any,
+) -> WorkerResult:
+    """Play the one game of a one-game sweep spec through
+    :func:`~repro.analysis.executor.play_spec` and fold its metric
+    snapshot into the ambient registry.  Returns the
+    :class:`~repro.analysis.executor.WorkerResult`, whose ``result``
+    carries the witness edge and stats the row leaves out (the
+    single-game CLI commands print them)."""
+    spec = CampaignSpec(
+        adversaries=(AdversaryRef(adversary, freeze_params(params)),),
+        victims=(victim,),
+        localities=(locality,),
     )
-    return play_spec(spec).row
+    if policy is not None:
+        spec = replace(
+            spec, step_budget=policy.step_budget, timeout=policy.timeout
+        )
+    played = play_spec(spec.expand()[0])
+    get_registry().merge(played.metrics)
+    return played
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ Subcommands
     ``theorem2`` / ``theorem3`` / ``theorem5``.
 ``upper-bound``
     Run an upper-bound algorithm (akbari/unify) on a chosen family at
-    the paper's locality budget and verify the coloring.
+    the paper's locality budget: the registered ``scattered-order``
+    game, which reveals the host in a seeded scattered order and checks
+    the coloring.
 ``tournament``
     Run every registered adversary against every registered victim.
 ``campaign``
@@ -44,12 +46,13 @@ Every game-playing subcommand (``adversary``, ``upper-bound``,
 from one parent parser: ``--trace FILE`` records a structured JSON-lines
 trace, ``--metrics`` prints the metrics-registry totals after the run,
 and ``--workers N`` parallelizes sweeps (single-game commands reject
-N > 1).  The single-game commands (``adversary``, ``upper-bound``) also
-take ``--journal PATH`` / ``--resume``, which record the finished game
-in a JSON-lines journal and skip it on the next run.  Sweeps
-(``tournament``, ``campaign``) run through the campaign engine; a
-campaign persists every game to its result store, so re-running it
-with ``campaign resume`` plays only the games that are missing.
+N > 1).  Every game is played the way a campaign plays it: the
+single-game commands (``adversary``, ``upper-bound``) play the one game
+of a one-game campaign spec under the supervisor and print its row's
+verdict, but keep no record.  A campaign persists every game to its
+result store, so re-running it with ``campaign resume`` plays only the
+games that are missing; to persist a game, ``campaign run`` a spec
+that names it (``examples/campaigns/upper-bound.json``).
 
 Exit statuses: 0 success, 1 structured failure (an adversary survived,
 a harness error), 2 bad invocation (reported as ``repro: error: ...``).
@@ -81,28 +84,14 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.core.akbari import AkbariBipartiteColoring
-from repro.core.unify import UnifyColoring, recommended_locality
-from repro.families.grids import SimpleGrid
-from repro.families.random_graphs import scattered_reveal_order
-from repro.families.triangular import TriangularGrid
-from repro.models.online_local import OnlineLocalSimulator
+from repro.core.unify import recommended_locality
 from repro.observability.metrics import get_registry
-from repro.observability.trace import TRACER, tracing
-from repro.oracles import TriangularOracle
-from repro.registry import (
-    FIXED_VICTIM,
-    FixedVictimGame,
-    RegistryError,
-    get_adversary,
-    get_victim,
-)
+from repro.observability.trace import tracing
+from repro.registry import RegistryError, get_family
 from repro.robustness.errors import ReproError
-from repro.robustness.retry import retry_with_reseed
-from repro.robustness.supervisor import call_with_timeout
-from repro.verify.coloring import assert_proper
+from repro.robustness.supervisor import GamePolicy
 
 
 class UserError(Exception):
@@ -139,14 +128,6 @@ def _print_phase_table(store_dir) -> None:
     print(render_phase_table(entry["phases"], entry.get("wall_seconds")))
 
 
-def _make_victim(name: str):
-    """A fresh victim instance by registry name (CLI error on unknown)."""
-    try:
-        return get_victim(name)()
-    except RegistryError as exc:
-        raise UserError(str(exc)) from None
-
-
 def _require_serial(args: argparse.Namespace, command: str) -> None:
     if args.workers != 1:
         raise UserError(
@@ -155,22 +136,27 @@ def _require_serial(args: argparse.Namespace, command: str) -> None:
         )
 
 
-#: Journal fields identifying a single game for ``--resume``.
-_GAME_KEY_FIELDS = ("adversary", "victim", "locality")
+def _play_one(args: argparse.Namespace, adversary: str, victim: str,
+              locality: int, **kwargs: Any):
+    """Play one game as a campaign plays it, under ``--trace``; returns
+    the :class:`~repro.analysis.executor.WorkerResult`.  The game's
+    metrics are folded before the trace closes, so the trace's final
+    snapshot holds them."""
+    from repro.api import _play_game
+
+    trace = tracing(args.trace) if args.trace else nullcontext()
+    try:
+        with trace:
+            return _play_game(adversary, victim, locality, **kwargs)
+    except RegistryError as exc:
+        raise UserError(str(exc)) from None
 
 
-def _journal_for(args: argparse.Namespace):
-    """The single-game journal named by ``--journal``, if any."""
-    from repro.robustness.journal import SweepJournal
-
-    if args.resume and args.journal is None:
-        raise UserError(
-            "--resume needs --journal PATH (there is no journal to "
-            "resume from)"
-        )
-    if args.journal is None:
-        return None
-    return SweepJournal(args.journal, _GAME_KEY_FIELDS)
+def _verdict(row) -> str:
+    """A row's verdict word, the same in every game-playing command."""
+    if row.forfeit:
+        return "FORFEIT"
+    return "DEFEATED" if row.won else "survived"
 
 
 #: Short aliases kept from the pre-registry CLI; everything else in the
@@ -197,126 +183,63 @@ def _resolve_adversary(args: argparse.Namespace) -> Tuple[str, dict]:
 def cmd_adversary(args: argparse.Namespace) -> int:
     _require_serial(args, "adversary")
     name, params = _resolve_adversary(args)
-    try:
-        entry = get_adversary(name)(args.locality, **params)
-    except RegistryError as exc:
-        raise UserError(str(exc)) from None
-    fixed = isinstance(entry, FixedVictimGame)
-    victim_name = FIXED_VICTIM if fixed else args.victim
-
-    journal = _journal_for(args)
-    key_row = {
-        "adversary": name, "victim": victim_name, "locality": args.locality
-    }
-    if journal is not None and args.resume:
-        done = journal.completed().get(journal.key_of(key_row))
-        if done is not None:
-            verdict = "DEFEATED" if done.get("won") else "survived"
-            print(
-                f"{name} vs {victim_name} at T={args.locality}: {verdict} "
-                "(from journal; game skipped)"
-            )
-            return 0 if done.get("won") else 1
-
-    victim = None if fixed else _make_victim(args.victim)
-    trace = tracing(args.trace) if args.trace else nullcontext()
-    with trace:
-        with TRACER.span("game", adversary=name, victim=victim_name) as span:
-            result = entry.play() if fixed else entry(victim)
-            span.note(
-                reason=result.reason, won=result.won, forfeit=result.forfeit
-            )
-    if journal is not None:
-        journal.append({
-            **key_row,
-            "won": result.won,
-            "reason": result.reason,
-            "forfeit": result.forfeit,
-        })
-    verdict = "DEFEATED" if result.won else "survived"
-    print(f"{name} vs {victim_name} at T={args.locality}: {verdict}")
-    print(f"  how: {result.reason}")
+    played = _play_one(args, name, args.victim, args.locality, **params)
+    row, result = played.row, played.result
+    print(f"{name} vs {row.victim} at T={args.locality}: {_verdict(row)}")
+    print(f"  how: {row.reason}")
     if result.improper_edge is not None:
         print(f"  witness edge: {result.improper_edge}")
     for key, value in sorted(result.stats.items()):
-        print(f"  {key}: {value}")
+        # Wall time differs run to run; --metrics reports it.
+        if key != "game_seconds":
+            print(f"  {key}: {value}")
     if args.metrics:
         _print_metrics()
-    return 0 if result.won else 1
+    return 0 if row.won else 1
+
+
+#: ``upper-bound`` algorithm -> (host family, its size param, colors).
+_UPPER_BOUND_HOSTS = {
+    "akbari": ("grid", "rows", 3),
+    "unify-triangular": ("triangular", "side", 4),
+}
 
 
 def cmd_upper_bound(args: argparse.Namespace) -> int:
     _require_serial(args, "upper-bound")
-    if args.algorithm == "akbari":
-        grid = SimpleGrid(args.side, args.side)
-        graph = grid.graph
-        n = graph.num_nodes
-        budget = args.locality or 3 * math.ceil(math.log2(n))
-        make_algorithm = AkbariBipartiteColoring
-        colors = 3
-    elif args.algorithm == "unify-triangular":
-        tri = TriangularGrid(args.side)
-        graph = tri.graph
-        n = graph.num_nodes
-        budget = args.locality or recommended_locality(3, 1, n)
-        make_algorithm = lambda: UnifyColoring(TriangularOracle())  # noqa: E731
-        colors = 4
-    else:  # pragma: no cover - argparse restricts choices
-        raise UserError(f"unknown algorithm {args.algorithm!r}")
-
-    journal = _journal_for(args)
-    key_row = {
-        "adversary": f"upper-bound/{args.algorithm}",
-        "victim": f"side={args.side}",
-        "locality": budget,
-    }
-    if journal is not None and args.resume:
-        done = journal.completed().get(journal.key_of(key_row))
-        if done is not None:
-            print(
-                f"{args.algorithm}: proper {colors}-coloring of {n} nodes "
-                f"at T={budget} (from journal; run skipped)"
-            )
-            return 0
-
-    # Randomized reveal orders can fail for seed-specific reasons (an
-    # order that strands the oracle); retry with fresh seeds rather than
-    # aborting the run.
-    def attempt(seed: int):
-        sim = OnlineLocalSimulator(
-            graph, make_algorithm(), locality=budget, num_colors=colors
+    family, size_param, colors = _UPPER_BOUND_HOSTS[args.algorithm]
+    size = {size_param: args.side}
+    n = get_family(family)(**size).graph.num_nodes
+    locality = args.locality
+    if locality is None:  # the paper's budget for the algorithm
+        locality = (
+            3 * math.ceil(math.log2(n)) if args.algorithm == "akbari"
+            else recommended_locality(3, 1, n)
         )
-        order = scattered_reveal_order(sorted(graph.nodes()), seed=seed)
-        coloring = call_with_timeout(lambda: sim.run(order), args.timeout)
-        assert_proper(graph, coloring, max_colors=colors)
-        return seed
-
-    trace = tracing(args.trace) if args.trace else nullcontext()
-    with trace:
-        with TRACER.span(
-            "upper-bound", algorithm=args.algorithm, side=args.side, n=n
-        ) as span:
-            used_seed = retry_with_reseed(
-                attempt,
-                seed=args.seed,
-                attempts=args.retries,
-                on_retry=lambda seed, exc: print(
-                    f"seed {seed} failed ({type(exc).__name__}: {exc}); "
-                    "reseeding"
-                ),
-            )
-            span.note(seed=used_seed, locality=budget)
-    if journal is not None:
-        journal.append({
-            **key_row, "won": True, "reason": "proper", "seed": used_seed
-        })
-    print(
-        f"{args.algorithm}: proper {colors}-coloring of {n} nodes at "
-        f"T={budget} under an adversarial order (seed {used_seed})"
+    played = _play_one(
+        args, "scattered-order", args.algorithm, locality,
+        policy=GamePolicy(timeout=args.timeout),
+        family=family, seed=args.seed, colors=colors, **size,
     )
+    row, result = played.row, played.result
+    if not row.won:
+        print(
+            f"{args.algorithm}: proper {colors}-coloring of {n} nodes "
+            f"at T={locality} under an adversarial order (seed {args.seed})"
+        )
+    else:
+        print(
+            f"{args.algorithm}: {_verdict(row)} on {n} nodes at "
+            f"T={locality} (seed {args.seed})"
+        )
+        print(f"  how: {row.reason}")
+        if result.improper_edge is not None:
+            print(f"  witness edge: {result.improper_edge}")
+        elif row.detail:
+            print(f"  detail: {row.detail}")
     if args.metrics:
         _print_metrics()
-    return 0
+    return 1 if row.won else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -349,15 +272,9 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     rows = run_tournament(
         SubmitRequest(spec=spec, workers=args.workers), trace_path=args.trace
     )
-
-    def verdict(row) -> str:
-        if row.forfeit:
-            return "FORFEIT"
-        return "DEFEATED" if row.won else "survived"
-
     print(render_table(
         ["adversary", "victim", "T", "verdict", "how"],
-        [[r.adversary, r.victim, r.locality, verdict(r), r.reason]
+        [[r.adversary, r.victim, r.locality, _verdict(r), r.reason]
          for r in rows],
     ))
     honest = honest_rows(rows)
@@ -752,22 +669,6 @@ def _run_flags() -> argparse.ArgumentParser:
     return flags
 
 
-def _journal_flags() -> argparse.ArgumentParser:
-    """``--journal``/``--resume``, for the single-game subcommands."""
-    flags = argparse.ArgumentParser(add_help=False)
-    group = flags.add_argument_group("journal flags")
-    group.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="append the finished game to a JSON-lines journal",
-    )
-    group.add_argument(
-        "--resume", action="store_true",
-        help="skip the game if --journal already records it "
-        "(requires --journal)",
-    )
-    return flags
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -776,10 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     flags = _run_flags()
-    journal = _journal_flags()
 
     adversary = sub.add_parser(
-        "adversary", parents=[flags, journal],
+        "adversary", parents=[flags],
         help="run a lower-bound adversary",
     )
     adversary.add_argument(
@@ -795,20 +695,16 @@ def build_parser() -> argparse.ArgumentParser:
     adversary.set_defaults(func=cmd_adversary)
 
     upper = sub.add_parser(
-        "upper-bound", parents=[flags, journal],
+        "upper-bound", parents=[flags],
         help="run an upper-bound algorithm",
     )
-    upper.add_argument("algorithm", choices=["akbari", "unify-triangular"])
+    upper.add_argument("algorithm", choices=list(_UPPER_BOUND_HOSTS))
     upper.add_argument("--side", type=int, default=16)
     upper.add_argument("--locality", type=int, default=None)
     upper.add_argument("--seed", type=int, default=0)
     upper.add_argument(
-        "--retries", type=_positive_int, default=3,
-        help="reseeded attempts before giving up (default 3)",
-    )
-    upper.add_argument(
         "--timeout", type=float, default=None,
-        help="wall-clock budget per attempt in seconds",
+        help="wall-clock budget for the game in seconds (default: none)",
     )
     upper.set_defaults(func=cmd_upper_bound)
 

@@ -23,9 +23,10 @@ class OracleError(ReproError):
     """The partition could not be inferred (wrong family, or the
     neighborhood genuinely does not determine it).
 
-    A :class:`~repro.robustness.errors.ReproError`, so supervised sweeps
-    and :func:`~repro.robustness.retry.retry_with_reseed` classify oracle
-    failures as structured (retryable) rather than fatal."""
+    A :class:`~repro.robustness.errors.ReproError`, so the game
+    supervisor classifies an oracle failure as structured: the game
+    ends in a ``forfeit:harness-error`` row carrying the message, not in
+    a traceback."""
 
 
 class PartitionOracle(ABC):

@@ -58,7 +58,7 @@ from repro.families.ktree import random_ktree
 from repro.families.triangular import TriangularGrid
 from repro.models.base import OnlineAlgorithm
 from repro.models.simulation import LocalAsOnline
-from repro.oracles import CliqueChainOracle
+from repro.oracles import CliqueChainOracle, TriangularOracle
 from repro.robustness.faults import faulty_victims
 
 #: Victim column used for fixed-victim games (their victim is determined
@@ -236,6 +236,11 @@ register_victim("akbari", AkbariBipartiteColoring)
 register_victim(
     "local-canonical", lambda: LocalAsOnline(CanonicalLocalColorer())
 )
+#: Theorem 4's unification algorithm on triangular grids (the
+#: ``upper-bound unify-triangular`` run; not in the default portfolio).
+register_victim(
+    "unify-triangular", lambda: UnifyColoring(TriangularOracle())
+)
 
 #: The fault-injection victim family (PR 1), in sweep order.
 FAULTY_VICTIM_NAMES: Tuple[str, ...] = tuple(faulty_victims())
@@ -306,6 +311,48 @@ def _theorem5_reduction(locality: int, k: int = 3, **params: Any) -> AdversaryEn
             reduce_to_grid(UnifyColoring(CliqueChainOracle(k, k)), k=k)
         )
     )
+
+
+@register_adversary("scattered-order")
+def _scattered_order(
+    locality: int,
+    family: str = "grid",
+    seed: int = 0,
+    colors: int = 3,
+    **size: Any,
+) -> AdversaryEntry:
+    """The upper-bound run as an oblivious adversary: reveal the host of
+    ``family`` (built with its ``size`` params) in the seeded scattered
+    order, then check the victim's ``colors``-coloring.  Not a strategy
+    of the paper: the order never reads a color."""
+    from repro.families.random_graphs import scattered_reveal_order
+    from repro.models.online_local import OnlineLocalSimulator
+    from repro.verify.coloring import find_monochromatic_edge
+
+    graph = get_family(family)(**size).graph
+
+    def play(victim: OnlineAlgorithm) -> AdversaryResult:
+        coloring = OnlineLocalSimulator(
+            graph, victim, locality=locality, num_colors=colors
+        ).run(scattered_reveal_order(sorted(graph.nodes()), seed=seed))
+        stats = {"declared_n": graph.num_nodes}
+        edge = find_monochromatic_edge(graph, coloring)
+        if edge is not None:
+            return AdversaryResult(
+                won=True, reason="monochromatic-edge", improper_edge=edge,
+                stats=stats,
+            )
+        if len(coloring) < graph.num_nodes or not set(
+            coloring.values()
+        ) <= set(range(1, colors + 1)):
+            return AdversaryResult(
+                won=True, reason="model-violation", stats={
+                    **stats, "violation": f"not a total {colors}-coloring",
+                },
+            )
+        return AdversaryResult(won=False, reason="survived", stats=stats)
+
+    return play
 
 
 # ----------------------------------------------------------------------

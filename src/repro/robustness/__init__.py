@@ -10,9 +10,8 @@ Submodules
 ``faults``
     Deliberately broken algorithms (the fault-injection victim family).
 ``journal``
-    JSON-lines checkpointing for crash-safe sweeps.
-``retry``
-    Retry-with-reseed for randomized harness paths.
+    The append-only JSON-lines primitive under the result store and
+    the traces.
 
 Only ``errors`` is imported eagerly: ``repro.models.base`` imports the
 hierarchy from here, so the heavier submodules (which import
@@ -50,7 +49,6 @@ __all__ = [
     "GamePolicy",
     "SupervisedAlgorithm",
     "SupervisedGame",
-    "call_with_timeout",
     "FaultyAlgorithm",
     "CrashingAlgorithm",
     "InvalidColorAlgorithm",
@@ -59,15 +57,12 @@ __all__ = [
     "FlipFlopAlgorithm",
     "faulty_victims",
     "SweepJournal",
-    "RetriesExhausted",
-    "retry_with_reseed",
 ]
 
 _LAZY = {
     "GamePolicy": "repro.robustness.supervisor",
     "SupervisedAlgorithm": "repro.robustness.supervisor",
     "SupervisedGame": "repro.robustness.supervisor",
-    "call_with_timeout": "repro.robustness.supervisor",
     "FaultyAlgorithm": "repro.robustness.faults",
     "CrashingAlgorithm": "repro.robustness.faults",
     "InvalidColorAlgorithm": "repro.robustness.faults",
@@ -76,8 +71,6 @@ _LAZY = {
     "FlipFlopAlgorithm": "repro.robustness.faults",
     "faulty_victims": "repro.robustness.faults",
     "SweepJournal": "repro.robustness.journal",
-    "RetriesExhausted": "repro.robustness.retry",
-    "retry_with_reseed": "repro.robustness.retry",
 }
 
 

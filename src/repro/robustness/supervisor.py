@@ -13,8 +13,11 @@ interaction runs inside an execution boundary that
   :class:`~repro.adversaries.result.AdversaryResult` (the adversary wins
   with a machine-readable reason) instead of aborting the sweep.
 
-Use :class:`SupervisedGame` for adversary games and
-:func:`call_with_timeout` for guarding bare simulator runs.
+Every game runs through :class:`SupervisedGame`, by way of
+:func:`~repro.analysis.executor.play_spec`: campaign games, the
+tournament, :func:`repro.api.run_game` and the single-game CLI commands
+(``adversary``, and ``upper-bound`` through the registered
+``scattered-order`` game).
 """
 
 from __future__ import annotations
@@ -271,13 +274,3 @@ class SupervisedGame:
                 result.stats.setdefault("failed_at_step", step())
         return result
 
-
-def call_with_timeout(fn: Callable[[], object], timeout: Optional[float]):
-    """Run ``fn`` under the preemptive alarm; raises :class:`GameTimeout`.
-
-    A light-weight guard for bare simulator runs (benchmark sweeps, CLI
-    upper-bound paths) that want crash-safety without the full
-    adversary-game result plumbing.
-    """
-    with alarm_guard(timeout):
-        return fn()

@@ -22,7 +22,6 @@ from repro.robustness.supervisor import (
     GamePolicy,
     SupervisedAlgorithm,
     SupervisedGame,
-    call_with_timeout,
 )
 
 
@@ -145,19 +144,6 @@ def test_adversary_error_is_not_swallowed():
 
     with pytest.raises(AdversaryError):
         SupervisedGame(buggy_adversary, GamePolicy()).run(GreedyOnlineColorer())
-
-
-def test_call_with_timeout_passthrough_and_interrupt():
-    assert call_with_timeout(lambda: 42, timeout=None) == 42
-    assert call_with_timeout(lambda: 42, timeout=5.0) == 42
-
-    def spin():
-        deadline = time.monotonic() + 20.0
-        while time.monotonic() < deadline:
-            pass
-
-    with pytest.raises(GameTimeout):
-        call_with_timeout(spin, timeout=0.3)
 
 
 def test_alarm_guard_inner_fires_under_an_outer_timer():

@@ -28,6 +28,19 @@ def test_run_game_fixed_victim_ignores_victim_arg():
     assert row.won
 
 
+def test_run_game_folds_its_metrics_into_the_callers_registry():
+    from repro.observability.metrics import scoped_registry
+
+    with scoped_registry() as registry:
+        api.run_game("theorem1-grid", "greedy", locality=1)
+    counters = registry.snapshot()["counters"]
+    assert counters["reveals_total"] > 0
+    queries = counters.get("ball_cache_hits", 0) + counters.get(
+        "ball_cache_misses", 0
+    )
+    assert queries > 0
+
+
 def test_run_game_unknown_names_raise_registry_error():
     with pytest.raises(api.RegistryError, match="unknown adversary"):
         api.run_game("nope", "greedy")

@@ -287,15 +287,149 @@ def test_adversary_rejects_parallel_workers(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-def test_adversary_journal_resume_skips_replay(capsys, tmp_path):
-    journal = str(tmp_path / "j.jsonl")
-    code = main(["adversary", "theorem1", "--journal", journal])
-    assert code == 0
-    capsys.readouterr()
-    code = main(["adversary", "theorem1", "--journal", journal, "--resume"])
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    ["adversary", "theorem1", "--journal", "j.jsonl"],
+    ["adversary", "theorem1", "--resume"],
+    ["upper-bound", "akbari", "--journal", "j.jsonl"],
+    ["upper-bound", "akbari", "--resume"],
+    ["upper-bound", "akbari", "--retries", "2"],
+])
+def test_single_game_commands_keep_no_record(capsys, argv):
+    """Single games keep no journal and never reseed: the flags are
+    unknown arguments (argparse's status 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: Verdicts of single-game commands, recorded when they still played
+#: outside the campaign engine: (argv, first output line, reason, witness
+#: edge).  Upper-bound runs that survive print no reason and no edge.
+PINNED_SINGLE_GAMES = [
+    (["adversary", "theorem1", "--victim", "greedy", "--locality", "1"],
+     "theorem1-grid vs greedy at T=1: DEFEATED",
+     "monochromatic-edge", "((5, 10), (6, 10))"),
+    (["adversary", "theorem1", "--victim", "akbari", "--locality", "2"],
+     "theorem1-grid vs akbari at T=2: DEFEATED",
+     "monochromatic-edge", "((4, 16), (4, 17))"),
+    (["adversary", "theorem2", "--topology", "torus", "--locality", "1"],
+     "theorem2-torus vs greedy at T=1: DEFEATED",
+     "monochromatic-edge", "((0, 1), (8, 1))"),
+    (["adversary", "theorem2", "--topology", "cylinder", "--locality", "1"],
+     "theorem2-cylinder vs greedy at T=1: DEFEATED",
+     "monochromatic-edge", "((0, 7), (0, 8))"),
+    (["adversary", "theorem3", "--k", "3", "--locality", "1"],
+     "theorem3-gadget(2k-2) vs greedy at T=1: DEFEATED",
+     "monochromatic-edge", "((2, 0, 0), (3, 2, 1))"),
+    (["adversary", "theorem3", "--k", "4", "--locality", "1"],
+     "theorem3-gadget(2k-2) vs greedy at T=1: DEFEATED",
+     "monochromatic-edge", "((2, 0, 0), (3, 2, 1))"),
+    (["adversary", "corollary13-gadget(k+1)", "--victim", "local-canonical",
+      "--locality", "1"],
+     "corollary13-gadget(k+1) vs local-canonical at T=1: DEFEATED",
+     "monochromatic-edge", "((0, 0, 1), (0, 1, 0))"),
+    (["adversary", "theorem5", "--k", "3", "--locality", "1"],
+     "theorem5-reduction vs (fixed) at T=1: DEFEATED",
+     "monochromatic-edge", "((2, 5), (2, 6))"),
+    (["upper-bound", "akbari"],
+     "akbari: proper 3-coloring of 256 nodes at T=24 under an adversarial "
+     "order (seed 0)", None, None),
+    (["upper-bound", "unify-triangular"],
+     "unify-triangular: proper 4-coloring of 151 nodes at T=49 under an "
+     "adversarial order (seed 0)", None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, verdict, reason, edge", PINNED_SINGLE_GAMES,
+    ids=[" ".join(case[0]) for case in PINNED_SINGLE_GAMES],
+)
+def test_single_game_verdicts_are_pinned(capsys, argv, verdict, reason, edge):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == verdict
+    if reason is not None:
+        assert f"  how: {reason}" in lines
+    witness = [line for line in lines if line.startswith("  witness edge:")]
+    assert witness == ([f"  witness edge: {edge}"] if edge else [])
+
+
+def test_adversary_params_reach_the_game(capsys):
+    """--k changes the game: k = 4 is a larger gadget chain."""
+    for k, n in (("3", 45), ("4", 80)):
+        assert main(["adversary", "theorem3", "--k", k]) == 0
+        assert f"  declared_n: {n}" in capsys.readouterr().out
+
+
+def test_upper_bound_below_threshold_is_a_verdict(capsys):
+    """A failing order is a defeat with its witness, not a traceback."""
+    code = main(["upper-bound", "akbari", "--side", "10", "--locality", "1"])
+    assert code == 1
     out = capsys.readouterr().out
-    assert "skipped" in out
+    assert out.splitlines()[0] == "akbari: DEFEATED on 100 nodes at T=1 (seed 0)"
+    assert "  how: monochromatic-edge" in out
+    assert "  witness edge: ((0, 0), (1, 0))" in out
+
+
+def test_upper_bound_timeout_is_a_forfeit(capsys):
+    code = main(["upper-bound", "akbari", "--side", "10", "--timeout", "1e-9"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FORFEIT" in out
+    assert "  how: forfeit:timeout" in out
+    assert "  detail: " in out
+
+
+def test_upper_bound_game_runs_as_a_campaign(tmp_path, monkeypatch, capsys):
+    """The registered upper-bound game plays in a campaign, dedupes on a
+    rerun, and its stored row is the row ``repro upper-bound`` prints
+    from."""
+    import repro.api as api
+
+    spec = api.CampaignSpec(
+        name="one-upper-bound-game",
+        adversaries=(api.AdversaryRef.of({
+            "name": "scattered-order",
+            "params": {"family": "grid", "rows": 10, "seed": 0, "colors": 3},
+        }),),
+        victims=("akbari",),
+        localities=(1,),
+    )
+    store = tmp_path / "store"
+    first = api.run_campaign(api.SubmitRequest(spec=spec), store)
+    second = api.run_campaign(api.SubmitRequest(spec=spec), store)
+    assert (first.played, second.played, second.deduped) == (1, 0, 1)
+    (stored,) = second.rows.values()
+
+    printed = []
+    play_game = api._play_game
+
+    def spy(*args, **kwargs):
+        played = play_game(*args, **kwargs)
+        printed.append(played.row)
+        return played
+
+    monkeypatch.setattr(api, "_play_game", spy)
+    assert main(["upper-bound", "akbari", "--side", "10", "--locality", "1"]) == 1
+    capsys.readouterr()
+    (row,) = printed
+    fields = ("won", "reason", "forfeit", "n")
+    assert {f: stored[f] for f in fields} == {f: getattr(row, f) for f in fields}
+    assert (row.won, row.reason, row.n) == (True, "monochromatic-edge", 100)
+
+
+def test_checked_in_upper_bound_spec(tmp_path):
+    from repro.analysis.campaign import covered_rows, load_campaign, run_campaign
+
+    spec = load_campaign("examples/campaigns/upper-bound.json")
+    outcome = run_campaign(spec, tmp_path / "store")
+    rows = covered_rows(spec, outcome.rows)
+    assert [(r["locality"], r["won"], r["reason"]) for r in rows] == [
+        (1, True, "monochromatic-edge"),
+        (2, True, "monochromatic-edge"),
+        (21, False, "survived"),
+    ]
 
 
 def _write_smoke_spec(tmp_path):
