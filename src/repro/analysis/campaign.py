@@ -86,9 +86,12 @@ from repro.analysis.store import (
 )
 from repro.analysis.tables import render_table
 from repro.analysis.worker_pool import (
+    ChunkItem,
     SupervisedWorkerPool,
     WorkItem,
     _error_entry,
+    chunk_target,
+    play_chunk,
 )
 from repro.observability.export import write_live_status
 from repro.observability.flightrec import dump_on_fault
@@ -118,11 +121,11 @@ from repro.robustness.chaos import ChaosPolicy
 from repro.robustness.errors import ReproError
 from repro.robustness.supervisor import GamePolicy
 
-# Phase-attribution handles (repro.observability.timers).  "compute" is
-# the serial scheduler's play time; the pool workers record theirs as
-# "worker:compute" and the parent's wait shows up as "ack-drain".
+# Phase-attribution handles (repro.observability.timers).  Game play is
+# timed inside worker_pool.play_chunk: "compute" on the serial path,
+# "worker:compute" in pool workers, while the parent's wait shows up as
+# "ack-wait"/"ack-drain".
 _T_SPEC_EXPAND = phase_timer("spec-expand")
-_T_COMPUTE = phase_timer("compute")
 
 
 class CampaignError(ReproError):
@@ -636,15 +639,24 @@ def _store_row(outcome: WorkerResult, digest: str) -> Dict[str, Any]:
 class CampaignScheduler:
     """Drain game specs through the store-deduped work queue.
 
+    Both paths play through one chunk loop,
+    :func:`~repro.analysis.worker_pool.play_chunk`, and keep one
+    durability rule: a chunk's rows are written under one fsync after
+    its last game, so a SIGKILL loses at most each writer's in-flight
+    chunk, and an exception that escapes a chunk (Ctrl-C included)
+    first writes the rows already played, so it loses at most the game
+    in flight.  Resume replays what was lost; dedupe keeps the store
+    correct.
+
     Parameters
     ----------
     store:
         The :class:`ResultStore` consulted before dispatch (games whose
         hash is present are *deduped* — served from disk, never
-        replayed) and written by the workers.
+        replayed) and written by the chunk loop.
     workers:
-        Worker process count; 1 plays inline with no pool, the identical
-        code path otherwise.
+        Worker process count; 1 plays the chunks in this process with
+        no pool, more lease them to supervised worker processes.
     retries, backoff:
         Per-game retry budget and base backoff (seconds) for exceptions
         escaping the supervisor (the actual sleeps are capped and fully
@@ -656,9 +668,10 @@ class CampaignScheduler:
         many workers one game may kill or hang before it is quarantined,
         and the lease-deadline multiplier over the spec's timeout.
     chunk_size:
-        Games per worker lease (forwarded to the pool); None adapts —
-        large chunks while the queue is deep, halving toward 1 at the
-        tail.  ``1`` pins the degenerate per-game protocol.
+        Games per chunk: per worker lease in the pool, per store write
+        on the serial path.  None adapts — large chunks while the queue
+        is deep, halving toward 1 at the tail.  ``1`` pins the per-game
+        protocol: one fsync per game on either path.
     chaos:
         Optional :class:`~repro.robustness.chaos.ChaosPolicy` shipped to
         workers (defaults to the ``REPRO_CHAOS`` environment; the
@@ -743,52 +756,62 @@ class CampaignScheduler:
     def _run_serial(
         self, work: List[Tuple[str, GameSpec]]
     ) -> Tuple[Dict[str, Dict[str, Any]], List[Dict[str, Any]]]:
+        """Play ``work`` in this process through
+        :func:`~repro.analysis.worker_pool.play_chunk`, the loop a pool
+        worker runs, without the pipe: chunks of ``chunk_size`` games,
+        or of :func:`chunk_target` over the games left, each written
+        under one fsync."""
         rows: Dict[str, Dict[str, Any]] = {}
         errors: List[Dict[str, Any]] = []
+        specs = dict(work)
         registry = get_registry()
         total = len(work)
+        taken = 0
+        chunk: List[ChunkItem] = []
         last_live = 0.0
-        for digest, spec in work:
-            try:
-                with _T_COMPUTE:
-                    outcome = _play_with_retry(spec, self.retries, self.backoff)
-            except Exception as exc:
-                errors.append(_error_entry(digest, spec, repr(exc)))
-            else:
-                # The game played under its own scoped registry; fold its
-                # snapshot in, as the pool does with every chunk ack.
-                registry.merge(outcome.metrics)
-                row = _store_row(outcome, digest)
-                self.store.add(row)
-                rows[digest] = row
+
+        def publish(done: bool) -> None:
+            # The pool's live.json channel, minus the fleet rows.  Rows
+            # count once durable, as the pool's do: until its write, the
+            # current chunk is in flight.
+            status: Dict[str, Any] = dict(self.live_extra)
+            status.setdefault("games_deduped", self._last_deduped)
+            status.update(
+                {
+                    "done": done,
+                    "monotonic": time.monotonic(),
+                    "games_total": total,
+                    "games_played": len(rows),
+                    "games_errors": len(errors),
+                    "queue_depth": total - taken,
+                    "in_flight": 0 if done else len(chunk),
+                    "workers": [],
+                }
+            )
+            write_live_status(self.store.root, status)
+
+        def before_game(digest: str, attempt: int) -> bool:
+            nonlocal last_live
             now = time.monotonic()
             if now - last_live >= self.LIVE_INTERVAL:
                 last_live = now
-                self._publish_serial_live(len(rows), total, len(errors), False)
-        self._publish_serial_live(len(rows), total, len(errors), True)
-        return rows, errors
+                publish(done=False)
+            return True
 
-    def _publish_serial_live(
-        self, played: int, total: int, errors: int, done: bool
-    ) -> None:
-        """Telemetry for the serial path: same ``live.json`` channel the
-        supervised pool publishes, minus the per-worker fleet rows.
-        Failures are swallowed inside :func:`write_live_status`."""
-        status: Dict[str, Any] = dict(self.live_extra)
-        status.setdefault("games_deduped", self._last_deduped)
-        status.update(
-            {
-                "done": done,
-                "monotonic": time.monotonic(),
-                "games_total": total,
-                "games_played": played,
-                "games_errors": errors,
-                "queue_depth": max(total - played - errors, 0),
-                "in_flight": 0 if done else 1,
-                "workers": [],
-            }
-        )
-        write_live_status(self.store.root, status)
+        while taken < total:
+            size = self.chunk_size or chunk_target(total - taken, 1)
+            chunk = [(digest, spec, 1) for digest, spec in work[taken:taken + size]]
+            taken += len(chunk)
+            for digest, status, detail in play_chunk(
+                chunk, self.store, self.retries, self.backoff, registry,
+                before_game,
+            ):
+                if status == "done":
+                    rows[digest] = detail
+                else:
+                    errors.append(_error_entry(digest, specs[digest], detail))
+        publish(done=True)
+        return rows, errors
 
     def _run_pool(
         self, work: List[Tuple[str, GameSpec]]

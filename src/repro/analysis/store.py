@@ -11,10 +11,13 @@ resume from one journal file to a store directory:
 * **Overlapping campaigns dedupe automatically** — two specs that expand
   to the same game hash to the same key, so a threshold search reuses
   the grid sweep's rows (and vice versa) without coordination.
-* **Kills lose at most the in-flight game** — each writer process
-  appends to its own ``rows-<pid>.jsonl`` shard with the journal's
-  flush-and-fsync discipline; partial trailing lines from a kill
-  mid-write are skipped on load and repaired on the next append.
+* **A kill loses at most each writer's in-flight chunk** — each writer
+  process appends to its own ``rows-<pid>.jsonl`` shard with the
+  journal's flush-and-fsync discipline, one :meth:`ResultStore.add_many`
+  per chunk of games (``worker_pool.play_chunk``, on the serial and the
+  pooled path alike; a chunk size of 1 writes per game); partial
+  trailing lines from a kill mid-write are skipped on load and
+  repaired on the next append.
 
 What goes into the hash is the *semantic* identity of a game: adversary
 name + parameters, victim name, locality, and the step budget (which

@@ -17,8 +17,10 @@ fan-out with a supervised pool:
   halves toward 1 as the queue drains, so work-stealing stays balanced
   at the tail while the bulk of the campaign pays one IPC round-trip
   and one fsync per *chunk* instead of per game.  The worker heartbeats
-  each game as it starts, plays the whole chunk, fsyncs every row in
-  one batched store append, and sends **one** ack carrying all rows.
+  each game as it starts, plays the whole chunk through
+  :func:`play_chunk` (every row in one batched store append), and
+  sends **one** ack carrying all rows.  The serial scheduler plays its
+  chunks through the same function, without the pipe.
 * **Crash recovery at chunk granularity, blame at game granularity** —
   dead workers (``Process.is_alive()``/``exitcode``) and expired leases
   are reaped, a replacement spawned (while the restart budget lasts),
@@ -64,6 +66,7 @@ so the degraded serial path always completes.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -73,7 +76,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.executor import GameSpec
 from repro.analysis.store import (
@@ -105,11 +108,12 @@ _T_PIPE_SEND = phase_timer("pipe-send")
 _T_ACK_WAIT = phase_timer("ack-wait")
 _T_ACK_DRAIN = phase_timer("ack-drain")
 _T_LEASE_SWEEP = phase_timer("lease-sweep")
-# Worker-side handles pick up the "worker:" scope set in _pool_worker;
-# store fsync is timed inside ResultStore.add_many itself, under
-# whichever scope the writing process runs.
+# Worker-side handles pick up the "worker:" scope set in _pool_worker.
+# play_chunk's compute, like the store fsync timed inside
+# ResultStore.add_many, books under whichever scope the playing process
+# runs: "compute" in the serial scheduler, "worker:compute" in a worker.
 _T_W_RECV = phase_timer("pipe-recv")
-_T_W_COMPUTE = phase_timer("compute")
+_T_COMPUTE = phase_timer("compute")
 _T_W_SEND = phase_timer("pipe-send")
 
 #: One work item as the scheduler hands it over: (content hash, spec).
@@ -117,6 +121,10 @@ WorkItem = Tuple[str, GameSpec]
 
 #: One dispatched chunk entry: (content hash, spec, attempt number).
 ChunkItem = Tuple[str, GameSpec, int]
+
+#: One game as :func:`play_chunk` reports it: (content hash, ``"done"``
+#: or ``"error"``, the durable row or the error text).
+GameReport = Tuple[str, str, Any]
 
 #: Upper bound on the adaptive chunk size (games per lease).
 DEFAULT_MAX_CHUNK = 32
@@ -197,6 +205,7 @@ def chunk_target(pending: int, workers: int, max_chunk: int = DEFAULT_MAX_CHUNK)
     is always left to steal), and as the queue drains the target halves
     toward 1, so the tail of a campaign degenerates to the PR-5
     game-at-a-time protocol and no worker sits idle behind a hoarder.
+    The serial scheduler sizes its write batches with ``workers=1``.
     """
     if pending <= 0:
         return 1
@@ -417,6 +426,76 @@ def _error_entry(digest: str, spec: GameSpec, detail: str) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# The chunk loop: one per worker lease, one per serial write batch
+# ----------------------------------------------------------------------
+def play_chunk(
+    items: Sequence[ChunkItem],
+    store: ResultStore,
+    retries: int,
+    backoff: float,
+    registry,
+    before_game: Callable[[str, int], bool],
+) -> List[GameReport]:
+    """Play one chunk of games and write their rows under one fsync.
+
+    This is the loop both schedulers run: a pool worker once per leased
+    chunk, the serial scheduler once per write batch.  Each game plays
+    through ``_play_with_retry`` and folds its metric snapshot into
+    ``registry``.  ``before_game(digest, attempt)`` runs first: a
+    worker heartbeats and serves its chaos draw there, the serial
+    scheduler publishes ``live.json``.  It returns whether the game's
+    row is stored; a row it holds back (chaos ``corrupt``) is left for
+    the caller to report, unless the game failed.
+
+    Returns ``(digest, "done", row)`` for every row the one
+    :meth:`ResultStore.add_many` made durable, and ``(digest, "error",
+    text)`` for every game whose exception outlived its retries (the
+    exception's ``Type: message`` line) or whose write failed.
+
+    A SIGKILL loses at most this chunk, whose rows are not yet written.
+    An exception that escapes the loop (Ctrl-C included) first writes
+    the rows already played, so it loses at most the game in flight.
+    """
+    from repro.analysis.campaign import _play_with_retry, _store_row
+
+    reports: List[GameReport] = []
+    played: List[Tuple[str, Dict[str, Any]]] = []
+    try:
+        for digest, spec, attempt in items:
+            keep = before_game(digest, attempt)
+            try:
+                with _T_COMPUTE:
+                    outcome = _play_with_retry(spec, retries, backoff)
+            except Exception as exc:
+                detail = "".join(
+                    traceback.format_exception_only(type(exc), exc)
+                ).strip()
+                reports.append((digest, "error", detail))
+                continue
+            if outcome.metrics:
+                registry.merge(outcome.metrics)
+            if keep:
+                played.append((digest, _store_row(outcome, digest)))
+    except BaseException:
+        # A failed write must not mask the exception; those rows replay.
+        with contextlib.suppress(OSError):
+            store.add_many([row for _, row in played])
+        raise
+    try:
+        store.add_many([row for _, row in played])
+    except OSError as exc:
+        # Disk trouble fails the whole batch: none of these rows is
+        # durable, so none may be reported done; the next run replays.
+        reports.extend(
+            (digest, "error", f"result store write failed: {exc}")
+            for digest, _ in played
+        )
+    else:
+        reports.extend((digest, "done", row) for digest, row in played)
+    return reports
+
+
+# ----------------------------------------------------------------------
 # Worker process body
 # ----------------------------------------------------------------------
 class _WorkerState:
@@ -446,91 +525,74 @@ def _worker_apply_config(
         config.chaos.apply_slow_start(index)
 
 
+class _ParentGone(Exception):
+    """The pool process is unreachable: the worker should exit."""
+
+
 def _serve_chunk(
     conn, items: List[ChunkItem], state: _WorkerState, worker_registry,
     games_served: int,
 ) -> Optional[int]:
-    """Play one leased chunk; returns the new served count, or None
-    when the parent is unreachable (the worker should exit).
+    """Play one leased chunk through :func:`play_chunk` and ack it;
+    returns the new served count, or None when the parent is
+    unreachable (the worker should exit).
 
     Every game is heartbeated *before* its chaos action or compute, so
     even a game that kills this worker instantly leaves a liveness mark
     — that mark is what lets the parent blame the right game of the
-    chunk.  All rows are fsynced in **one** batched store append before
-    the single chunk ack, so a kill — of the worker or the parent —
-    never loses an acknowledged game, and a kill mid-chunk loses only
-    unacknowledged (hence requeued) ones.
+    chunk.  The single chunk ack follows the chunk's one fsync, so a
+    kill — of the worker or the parent — never loses an acknowledged
+    game, and a kill mid-chunk loses only unacknowledged (hence
+    requeued) ones.
     """
-    from repro.analysis.campaign import _play_with_retry, _store_row
-
-    results: List[Tuple[str, str, Any]] = []
-    played: List[Tuple[str, Dict[str, Any]]] = []
-    corrupted: List[str] = []
     chaos = state.chaos
-    for digest, spec, attempt in items:
+
+    def before_game(digest: str, attempt: int) -> bool:
         try:
             conn.send(
                 ("heartbeat", digest, {"pid": os.getpid(), "games": games_served}, None)
             )
         except OSError:  # pragma: no cover - parent gone
-            return None
-        action = None
-        if chaos is not None:
-            action = chaos.action_for(digest, attempt)
-            if action == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif action == "stall":
-                # The parent's lease expiry is expected to SIGKILL us
-                # long before this loop finishes; bail out if the
-                # parent itself dies so a stalled worker never
-                # outlives it as an orphan.
-                deadline = time.monotonic() + chaos.stall_seconds
-                while time.monotonic() < deadline:
-                    if not pid_alive(state.parent_pid):
-                        return None
-                    time.sleep(0.2)
-        try:
-            with _T_W_COMPUTE:
-                outcome = _play_with_retry(spec, state.retries, state.backoff)
-        except Exception as exc:
-            detail = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-            results.append((digest, "error", detail))
-            continue
-        if outcome.metrics:
-            worker_registry.merge(outcome.metrics)
-        row = _store_row(outcome, digest)
-        if action == "corrupt":
-            corrupted.append(digest)
-        else:
-            played.append((digest, row))
+            raise _ParentGone from None
+        action = None if chaos is None else chaos.action_for(digest, attempt)
+        if action == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif action == "stall":
+            # The parent's lease expiry is expected to SIGKILL us long
+            # before this loop finishes; bail out if the parent itself
+            # dies so a stalled worker never outlives it as an orphan.
+            deadline = time.monotonic() + chaos.stall_seconds
+            while time.monotonic() < deadline:
+                if not pid_alive(state.parent_pid):
+                    raise _ParentGone
+                time.sleep(0.2)
+        return action != "corrupt"
+
     try:
-        state.store.add_many([row for _, row in played])
-    except OSError as exc:
-        # Disk trouble fails the whole batch: none of these rows is
-        # durable, so none may be acknowledged; the next run retries.
-        results.extend(
-            (digest, "error", f"result store write failed: {exc}")
-            for digest, _ in played
+        reports = play_chunk(
+            items, state.store, state.retries, state.backoff,
+            worker_registry, before_game,
         )
-    else:
-        results.extend((digest, "done", row) for digest, row in played)
-        games_served += len(played)
-    for digest in corrupted:
-        # Chaos "corrupt": tear this worker's shard the way a kill
-        # mid-write would, and report the game as a store failure.
+    except _ParentGone:
+        return None
+    games_served += sum(1 for _, status, _ in reports if status == "done")
+    reported = {digest for digest, _, _ in reports}
+    for digest, _, _ in items:
+        if digest in reported:
+            continue
+        # Chaos "corrupt" held this row back: tear this worker's shard
+        # the way a kill mid-write would, and report a store failure.
         try:
             inject_corrupt_row(state.store.root, os.getpid())
         except OSError as exc:
-            results.append(
+            reports.append(
                 (digest, "error", f"result store write failed: {exc}")
             )
     metrics = worker_registry.snapshot()
     worker_registry.reset()
     try:
         with _T_W_SEND:
-            conn.send(("chunk-done", None, results, metrics))
+            conn.send(("chunk-done", None, reports, metrics))
     except OSError:  # pragma: no cover - parent gone
         return None
     return games_served

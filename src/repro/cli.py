@@ -647,6 +647,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _run_flags() -> argparse.ArgumentParser:
     """The shared parent parser: every game-playing subcommand takes the
     same three run flags, declared exactly once."""
@@ -753,9 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="stop after playing N new games (dedupes don't count)",
         )
         cmd.add_argument(
-            "--retries", type=_positive_int, default=1,
-            help="supervised attempts per game before recording an error "
-            "(default 1)",
+            "--retries", type=_non_negative_int, default=1,
+            help="re-attempts after the first, for a game whose exception "
+            "escapes the supervisor, before recording an error (default 1)",
         )
         cmd.add_argument(
             "--max-worker-restarts", type=int, default=None, metavar="N",
@@ -769,9 +776,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--chunk-size", type=_positive_int, default=None, metavar="N",
-            help="games per worker lease (default: adaptive — large "
-            "chunks while the queue is deep, halving toward 1 at the "
-            "tail; 1 pins the per-game protocol)",
+            help="games per worker lease, and per store write on the "
+            "serial path (default: adaptive — large chunks while the "
+            "queue is deep, halving toward 1 at the tail); a SIGKILL "
+            "loses at most each writer's in-flight chunk, so 1 gives "
+            "per-game durability",
         )
         cmd.add_argument(
             "--timers", action=argparse.BooleanOptionalAction, default=True,
@@ -860,12 +869,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after playing N new games (dedupes don't count)",
     )
     submit.add_argument(
-        "--retries", type=_positive_int, default=1,
-        help="supervised attempts per game before recording an error",
+        "--retries", type=_non_negative_int, default=1,
+        help="re-attempts after the first, for a game whose exception "
+        "escapes the supervisor, before recording an error (default 1)",
     )
     submit.add_argument(
         "--chunk-size", type=_positive_int, default=None, metavar="N",
-        help="games per worker lease (default: adaptive)",
+        help="games per worker lease, and per store write on the "
+        "serial path (default: adaptive); 1 gives per-game durability",
     )
     submit.add_argument(
         "--timers", action=argparse.BooleanOptionalAction, default=None,

@@ -218,7 +218,8 @@ def test_worker_pool_matches_serial(tmp_path):
 
 def test_errors_are_reported_not_stored(tmp_path, monkeypatch):
     """A game whose factory blows up lands in errors and is retried by
-    the next run, never recorded as a row."""
+    the next run, never recorded as a row; the serial path and the pool
+    report it in the same words."""
     from repro.analysis.worker_pool import shutdown_warm_pool
     from repro.registry import ADVERSARIES
 
@@ -237,14 +238,39 @@ def test_errors_are_reported_not_stored(tmp_path, monkeypatch):
         spec = CampaignSpec(
             name="broken", adversaries=("test-broken",), victims=("greedy",)
         )
-        outcome = run_campaign(spec, tmp_path / "store", retries=0)
-        assert outcome.played == 0
-        assert len(outcome.errors) == 1
-        assert "rigged to fail" in outcome.errors[0]["error"]
-        assert len(ResultStore(tmp_path / "store")) == 0
+        texts = []
+        for workers in (1, 2):
+            store_dir = tmp_path / f"store-{workers}"
+            outcome = run_campaign(spec, store_dir, workers=workers, retries=0)
+            assert outcome.played == 0
+            assert len(outcome.errors) == 1
+            texts.append(outcome.errors[0]["error"])
+            assert len(ResultStore(store_dir)) == 0
+        assert texts == ["RuntimeError: rigged to fail"] * 2
     finally:
         ADVERSARIES.unregister("test-broken")
         shutdown_warm_pool()  # don't park fork workers for later tests
+
+
+def test_interrupt_keeps_the_rows_already_played(tmp_path, monkeypatch):
+    """Ctrl-C on the 5th game of a serial run's first chunk (6 games)
+    writes the 4 rows played before it, then propagates."""
+    import repro.analysis.campaign as campaign_module
+
+    spec = CampaignSpec(**{**SMALL, "localities": (0, 1, 2)})  # 12 games
+    real_play = campaign_module.play_spec
+    calls = []
+
+    def interrupted_play(game):
+        calls.append(game)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return real_play(game)
+
+    monkeypatch.setattr(campaign_module, "play_spec", interrupted_play)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(spec, tmp_path / "store")
+    assert set(_store_snapshot(tmp_path / "store")) == set(spec.digests[:4])
 
 
 # ----------------------------------------------------------------------
@@ -349,11 +375,58 @@ spec = CampaignSpec(
     victims=("greedy", "akbari", "local-canonical"),
     localities=(1, 2, 3, 4, 5),
 )
-run_campaign(spec, sys.argv[1], workers=2)
+run_campaign(spec, sys.argv[1], workers=int(sys.argv[2]))
 """
 
 #: Games in ``_POOL_KILL_SCRIPT``'s sweep.
 _POOL_KILL_GAMES = 30
+
+
+def _kill_after_first_row(store_dir, workers):
+    """Run ``_POOL_KILL_SCRIPT`` with ``workers`` and SIGKILL it as soon
+    as its store holds a row; returns the finished process."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _POOL_KILL_SCRIPT, os.fspath(store_dir),
+         str(workers)],
+        env=_subprocess_env(),
+    )
+    try:
+        deadline = time.time() + 60
+        while time.time() < deadline and proc.poll() is None:
+            if len(_store_snapshot(store_dir)) >= 1:
+                break
+            time.sleep(0.01)
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    return proc
+
+
+@pytest.mark.slow
+def test_sigkill_mid_serial_campaign_resumes_with_zero_replays(tmp_path):
+    """SIGKILL a serial sweep right after its first chunk (15 games) is
+    durable: the resume dedupes every stored game, replays none, and
+    ends with the store an uninterrupted serial run writes."""
+    spec = CampaignSpec(
+        name="pool-kill-test",
+        adversaries=("theorem1-grid", "theorem2-cylinder"),
+        victims=("greedy", "akbari", "local-canonical"),
+        localities=(1, 2, 3, 4, 5),
+    )
+    run_campaign(spec, tmp_path / "ref")
+
+    store_dir = tmp_path / "killed"
+    proc = _kill_after_first_row(store_dir, workers=1)
+    assert proc.returncode == -signal.SIGKILL, "campaign exited before the kill"
+    stored = _store_snapshot(store_dir)
+    assert 1 <= len(stored) < _POOL_KILL_GAMES, f"kill landed outside the run: {len(stored)}"
+
+    resumed = run_campaign(spec, store_dir)
+    assert not resumed.errors
+    assert resumed.deduped == len(stored)
+    assert resumed.played == _POOL_KILL_GAMES - len(stored)
+    assert _store_snapshot(store_dir) == _store_snapshot(tmp_path / "ref")
 
 SHM_DIR = "/dev/shm"
 
@@ -374,23 +447,9 @@ def test_sigkill_mid_pool_leaves_no_shared_memory(tmp_path):
     its pool is still playing: nothing under /dev/shm may outlive the
     killed campaign process."""
     store_dir = tmp_path / "killed"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _POOL_KILL_SCRIPT, os.fspath(store_dir)],
-        env=_subprocess_env(),
-    )
-    try:
-        # Rows are written by pool workers only, so the first stored row
-        # means the pool is up; kill at once, with most games unplayed.
-        deadline = time.time() + 60
-        while time.time() < deadline and proc.poll() is None:
-            if len(_store_snapshot(store_dir)) >= 1:
-                break
-            time.sleep(0.01)
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
-        proc.wait()
-
+    # Rows are written by pool workers only, so the first stored row
+    # means the pool is up; kill at once, with most games unplayed.
+    proc = _kill_after_first_row(store_dir, workers=2)
     assert proc.returncode == -signal.SIGKILL, "campaign exited before the kill"
     stored = len(_store_snapshot(store_dir))
     assert 1 <= stored < _POOL_KILL_GAMES, f"kill landed outside the pool: {stored}"

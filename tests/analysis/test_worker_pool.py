@@ -479,15 +479,20 @@ def test_poison_quarantines_only_the_offending_chunk_game(tmp_path):
 
 def test_pinned_and_adaptive_chunking_match_serial_rows(tmp_path):
     """The degenerate ``chunk_size=1`` mode, adaptive chunking, and the
-    serial path must produce identical stores."""
+    serial path with either must produce identical stores."""
     spec = CampaignSpec(**FAST)
     serial = run_campaign(spec, tmp_path / "serial", workers=1)
+    serial_pinned = run_campaign(
+        spec, tmp_path / "serial-pinned", workers=1, chunk_size=1
+    )
     adaptive = run_campaign(spec, tmp_path / "adaptive", workers=2)
     pinned = run_campaign(
         spec, tmp_path / "pinned", workers=2, chunk_size=1
     )
-    assert not serial.errors and not adaptive.errors and not pinned.errors
+    for outcome in (serial, serial_pinned, adaptive, pinned):
+        assert not outcome.errors
     base = ResultStore(tmp_path / "serial").index()
+    assert ResultStore(tmp_path / "serial-pinned").index() == base
     assert ResultStore(tmp_path / "adaptive").index() == base
     assert ResultStore(tmp_path / "pinned").index() == base
 

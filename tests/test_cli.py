@@ -117,7 +117,8 @@ def test_stats_export_formats(capsys, tmp_path):
     assert snapshot["counters"]["reveals_total"] > 0
 
 
-def test_campaign_phase_table_status_watch_and_live(capsys, tmp_path):
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_campaign_phase_table_status_watch_and_live(capsys, tmp_path, workers):
     """One timed campaign run feeds the whole telemetry surface: the
     phase table after run and under status, watch --once, stats --live."""
     spec = tmp_path / "c.json"
@@ -128,7 +129,7 @@ def test_campaign_phase_table_status_watch_and_live(capsys, tmp_path):
     )
     store = str(tmp_path / "store")
     code = main(
-        ["campaign", "run", str(spec), "--store", store, "--workers", "2"]
+        ["campaign", "run", str(spec), "--store", store, "--workers", workers]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -270,6 +271,51 @@ def test_tournament_serial_trace_reports_cache_hit_rate(capsys, tmp_path):
 def test_tournament_workers_rejects_non_positive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["tournament", "--workers", "0"])
+
+
+def test_campaign_retries_zero_plays_a_failing_game_once(capsys, tmp_path):
+    """``--retries 0`` means no re-attempt: an adversary that always
+    raises is built once and recorded as one error."""
+    from repro.registry import ADVERSARIES
+
+    calls = []
+
+    @ADVERSARIES.register("test-always-raises")
+    def _always_raises(locality, **params):
+        calls.append(locality)
+        raise RuntimeError("rigged to fail")
+
+    spec = tmp_path / "c.json"
+    spec.write_text(
+        '{"version": 1, "kind": "sweep", "name": "no-retries", '
+        '"adversaries": ["test-always-raises"], "victims": ["greedy"], '
+        '"localities": [1]}'
+    )
+    try:
+        code = main([
+            "campaign", "run", str(spec), "--store", str(tmp_path / "s"),
+            "--retries", "0", "--no-timers",
+        ])
+    finally:
+        ADVERSARIES.unregister("test-always-raises")
+    assert code == 1
+    assert calls == [1]
+    out = capsys.readouterr().out
+    assert "played 0, deduped 0, errors 1" in out
+    assert "RuntimeError: rigged to fail" in out
+
+
+def test_retries_rejects_negative():
+    for argv in (
+        ["campaign", "run", "s.json", "--store", "d", "--retries", "-1"],
+        ["submit", "s.json", "--url", "http://x", "--retries", "-1"],
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        ["submit", "s.json", "--url", "http://x", "--retries", "0"]
+    )
+    assert args.retries == 0
 
 
 def test_adversary_registry_name_and_alias_agree(capsys):
