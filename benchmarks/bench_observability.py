@@ -9,19 +9,16 @@ that costs by timing the same adversary workload under three configs:
     tracing is off — the no-op reference approximating the
     pre-instrumentation hot path.
 ``off``
-    The shipped default: a live :class:`MetricsRegistry`, tracing off.
-``timers``
-    Live metrics plus phase-attribution timers
-    (:mod:`repro.observability.timers`) enabled — the configuration
-    ``campaign run`` ships by default.
+    The shipped default: a live :class:`MetricsRegistry` (which every
+    :func:`~repro.observability.trace.span` times into), tracing off.
 ``traced``
     Full tracing to a JSON-lines file plus live metrics.
 
 The acceptance bars (asserted here and by ``--check`` in CI): the
 ``off`` config — what every user pays whether or not they ever look at
-a metric — stays within **3%** of ``suppressed``, and ``timers`` stays
-within **5%**.  Tracing itself is allowed to cost more; its price is
-reported, not bounded.  A second section checks **merge parity**: the
+a metric — stays within **3%** of ``suppressed``.  Phase timing has no
+off switch, so that bound covers it too.  Tracing itself is allowed to
+cost more; its price is reported, not bounded.  A second section checks **merge parity**: the
 same deterministic workload played in two registry shards and merged
 must produce counter totals and histogram event counts identical to
 one serial registry — the invariant that makes worker metric snapshots
@@ -48,13 +45,10 @@ from repro.observability.metrics import (
     NullRegistry,
     scoped_registry,
 )
-from repro.observability.timers import timed_phases
 from repro.observability.trace import tracing
 
 #: Overhead bound for the tracing-off configuration.
 MAX_OFF_OVERHEAD = 0.03
-#: Overhead bound for phase timers on (the campaign-run default).
-MAX_TIMERS_OVERHEAD = 0.05
 
 
 def play_games(localities=(1, 2), rounds=2):
@@ -81,10 +75,6 @@ def _run_once(mode: str, workload, trace_dir: str, attempt: int) -> float:
     if mode == "off":
         with scoped_registry():
             return _timed(workload)
-    if mode == "timers":
-        with scoped_registry():
-            with timed_phases():
-                return _timed(workload)
     if mode == "traced":
         trace_file = os.path.join(trace_dir, f"trace-{attempt}.jsonl")
         with scoped_registry():
@@ -136,20 +126,19 @@ def check_merge_parity(localities=(1,), rounds=1, shards=2) -> dict:
     divergence is a merge bug, not noise.  Both passes start from a cold
     ball pool, so they compare real hit/miss counts.
     """
-    with timed_phases():
-        BallCache.clear_shared_store()
-        with scoped_registry() as serial:
-            for _ in range(shards):
-                play_games(localities, rounds)
-            serial_view = _mergeable_view(serial.snapshot())
-
-        BallCache.clear_shared_store()
-        parent = MetricsRegistry()
+    BallCache.clear_shared_store()
+    with scoped_registry() as serial:
         for _ in range(shards):
-            with scoped_registry() as shard:
-                play_games(localities, rounds)
-                parent.merge(shard.snapshot())
-        merged_view = _mergeable_view(parent.snapshot())
+            play_games(localities, rounds)
+        serial_view = _mergeable_view(serial.snapshot())
+
+    BallCache.clear_shared_store()
+    parent = MetricsRegistry()
+    for _ in range(shards):
+        with scoped_registry() as shard:
+            play_games(localities, rounds)
+            parent.merge(shard.snapshot())
+    merged_view = _mergeable_view(parent.snapshot())
 
     return {
         "shards": shards,
@@ -166,7 +155,7 @@ def run_bench(localities=(1, 2), rounds=2, repeats=9):
 
     with tempfile.TemporaryDirectory(prefix="bench-observability-") as tmp:
         timings = time_configs(
-            ("suppressed", "off", "timers", "traced"), workload, tmp, repeats
+            ("suppressed", "off", "traced"), workload, tmp, repeats
         )
     parity = check_merge_parity(localities=localities[:1], rounds=1)
 
@@ -180,14 +169,9 @@ def run_bench(localities=(1, 2), rounds=2, repeats=9):
         "repeats": repeats,
         "seconds": timings,
         "off_overhead_vs_suppressed": overhead("off", "suppressed"),
-        "timers_overhead_vs_suppressed": overhead("timers", "suppressed"),
         "traced_overhead_vs_off": overhead("traced", "off"),
         "max_off_overhead": MAX_OFF_OVERHEAD,
-        "max_timers_overhead": MAX_TIMERS_OVERHEAD,
         "off_within_bound": overhead("off", "suppressed") < MAX_OFF_OVERHEAD,
-        "timers_within_bound": (
-            overhead("timers", "suppressed") < MAX_TIMERS_OVERHEAD
-        ),
         "merge_parity": parity,
     }
 
@@ -214,8 +198,8 @@ def main(argv=None):
     parser.add_argument("--out", default="BENCH_observability.json")
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 unless every gate holds (off < 3%%, timers < 5%%, "
-        "merged shards identical to serial) — the CI invocation",
+        help="exit 1 unless every gate holds (off < 3%%, merged shards "
+        "identical to serial) — the CI invocation",
     )
     args = parser.parse_args(argv)
 
@@ -235,9 +219,6 @@ def main(argv=None):
     ))
     print(f"tracing-off overhead: {report['off_overhead_vs_suppressed']:+.2%} "
           f"(budget {MAX_OFF_OVERHEAD:.0%})")
-    print(f"phase-timer overhead: "
-          f"{report['timers_overhead_vs_suppressed']:+.2%} "
-          f"(budget {MAX_TIMERS_OVERHEAD:.0%})")
     print(f"tracing-on overhead:  {report['traced_overhead_vs_off']:+.2%}")
     parity = report["merge_parity"]
     print(f"merge parity: {parity['shards']} shards, "
@@ -247,8 +228,6 @@ def main(argv=None):
     failures = []
     if not report["off_within_bound"]:
         failures.append("tracing-off overhead exceeds budget")
-    if not report["timers_within_bound"]:
-        failures.append("phase-timer overhead exceeds budget")
     if not parity["identical"]:
         failures.append("merged shard snapshots diverge from serial")
     for failure in failures:

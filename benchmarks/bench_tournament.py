@@ -188,8 +188,7 @@ def run_phase_attribution(workers=2, chunk_size=None):
     """Phase-attribution profile of the example tournament campaign.
 
     Runs the pre-baked T=1 tournament campaign through the supervised
-    worker pool with phase timers on against a throwaway store, then
-    reads back the run-ledger entry the scheduler recorded.  The
+    worker pool against a throwaway store, then reads back the run-ledger entry the scheduler recorded.  The
     interesting number is ``phase_coverage``: the share of wall-clock
     the timed top-level phases explain (worker-scoped phases overlap
     the parent's clock and are reported but never counted).
@@ -200,7 +199,7 @@ def run_phase_attribution(workers=2, chunk_size=None):
     with tempfile.TemporaryDirectory(prefix="bench-phases-") as tmp:
         outcome = run_campaign(
             CampaignSpec.tournament(locality=1), tmp,
-            workers=workers, timers=True, chunk_size=chunk_size,
+            workers=workers, chunk_size=chunk_size,
         )
         entry = ResultStore(tmp).runs()[-1]
     coverage = entry.get("phase_coverage")

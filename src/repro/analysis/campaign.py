@@ -46,15 +46,21 @@ games that repeatedly kill workers are quarantined as structured
 ``forfeit:poison`` rows, and an exhausted budget degrades the run to
 in-process serial execution instead of raising.
 
-Observability: the run is wrapped in a ``campaign`` trace span and
-counts ``campaign_games_played`` / ``campaign_games_deduped`` /
+Observability: the run is wrapped in a ``campaign`` span and counts
+``campaign_games_played`` / ``campaign_games_deduped`` /
 ``campaign_game_retries`` / ``campaign_game_errors`` (plus the pool's
 ``campaign_worker_restarts`` / ``campaign_lease_expirations`` /
 ``campaign_games_requeued`` / ``campaign_games_quarantined`` /
-``campaign_pool_degradations``) in the metrics registry.  Every game's
-metric snapshot (:class:`~repro.analysis.executor.WorkerResult`) is
-folded into the caller's registry on both the serial and the pooled
-path, so the totals do not depend on the worker count.
+``campaign_pool_degradations``).  Each run records into its own metrics
+registry (:func:`~repro.observability.metrics.run_registry`), which
+every game's snapshot (:class:`~repro.analysis.executor.WorkerResult`)
+is folded into on both the serial and the pooled path — so the totals
+do not depend on the worker count — and which records into the
+caller's registry as it goes, so a server's ``/metrics`` stays live.
+The run-ledger entry's phase split and a traced run's final ``metrics``
+record therefore count that run alone, and spans timed on other threads
+meanwhile (a status poll's ``store-index``) stay out of it.  A traced
+run records the parent's own spans and events too, not just its games'.
 """
 
 from __future__ import annotations
@@ -95,18 +101,19 @@ from repro.analysis.worker_pool import (
 )
 from repro.observability.export import write_live_status
 from repro.observability.flightrec import dump_on_fault
-from repro.observability.metrics import get_registry
-from repro.observability.timers import (
-    attribution_coverage,
-    phase_attribution,
-    phase_delta,
-    phase_timer,
-    set_phase_timers,
+from repro.observability.metrics import (
+    MetricsRegistry,
+    get_registry,
+    run_registry,
 )
 from repro.observability.trace import (
-    TRACER,
     JsonlTraceRecorder,
+    attribution_coverage,
+    event,
     merge_trace_shards,
+    phase_attribution,
+    shard_recording,
+    span,
 )
 from repro.registry import (
     DEFAULT_ADVERSARIES,
@@ -120,12 +127,6 @@ from repro.registry import (
 from repro.robustness.chaos import ChaosPolicy
 from repro.robustness.errors import ReproError
 from repro.robustness.supervisor import GamePolicy
-
-# Phase-attribution handles (repro.observability.timers).  Game play is
-# timed inside worker_pool.play_chunk: "compute" on the serial path,
-# "worker:compute" in pool workers, while the parent's wait shows up as
-# "ack-wait"/"ack-drain".
-_T_SPEC_EXPAND = phase_timer("spec-expand")
 
 
 class CampaignError(ReproError):
@@ -724,7 +725,7 @@ class CampaignScheduler:
         work: List[WorkItem] = []
         seen: set = set()
         deduped = 0
-        with _T_SPEC_EXPAND:
+        with span("spec-expand"):
             for digest, spec in items:
                 if digest in index:
                     deduped += 1
@@ -841,7 +842,7 @@ class CampaignScheduler:
         outcome = pool.run(work)
         rows, errors = outcome.rows, outcome.errors
         if outcome.leftover:
-            TRACER.event(
+            event(
                 "campaign-degraded",
                 remaining=len(outcome.leftover),
                 restarts=outcome.restarts,
@@ -875,15 +876,37 @@ class CampaignOutcome:
     errors: List[Dict[str, Any]] = field(default_factory=list)
 
 
-def _finish_trace(trace_path) -> None:
+def _finish_trace(
+    trace_path: Optional[str], registry: MetricsRegistry
+) -> None:
+    """Fold every shard into the trace, then append the run's metrics."""
     if trace_path is None:
         return
     merge_trace_shards(trace_path)
     recorder = JsonlTraceRecorder(trace_path)
-    recorder.write(
-        {"type": "metrics", "snapshot": get_registry().snapshot()}
-    )
+    recorder.write({"type": "metrics", "snapshot": registry.snapshot()})
     recorder.close()
+
+
+def _schedule(
+    scheduler: CampaignScheduler,
+    name: str,
+    items: Sequence[WorkItem],
+    max_games: Optional[int],
+) -> Tuple[Dict[str, Dict[str, Any]], int, List[Dict[str, Any]]]:
+    """:meth:`CampaignScheduler.run`, dumping the flight ring if it
+    raises: an exception escaping the scheduler is exactly the
+    post-mortem the flight recorder exists for."""
+    try:
+        return scheduler.run(items, max_games=max_games)
+    except BaseException as exc:
+        dump_on_fault(
+            scheduler.store.root,
+            "scheduler-exception",
+            campaign=name,
+            error_type=type(exc).__name__,
+        )
+        raise
 
 
 def run_campaign(
@@ -897,7 +920,6 @@ def run_campaign(
     max_worker_restarts: Optional[int] = None,
     poison_threshold: int = 3,
     chunk_size: Optional[int] = None,
-    timers: Optional[bool] = None,
 ) -> CampaignOutcome:
     """Run (or resume — the same thing) a grid-sweep campaign.
 
@@ -905,24 +927,18 @@ def run_campaign(
     the rest are drained through the work-queue scheduler.  Returns the
     outcome with every covered row that is now on disk.
 
-    ``timers`` toggles phase-attribution timing for this run (restored
-    afterwards); ``None`` leaves the process-wide setting alone.  The
-    run-ledger entry records the measured wall-clock, the per-phase
+    The run-ledger entry records the measured wall-clock, the per-phase
     split, and the share of wall-clock the top-level phases account for
     (``campaign status`` renders the table).
     """
     campaign.validate()
     store = ResultStore(store_dir)
     campaign_id = store.record_manifest(campaign.to_payload())
-    previous_timers = None if timers is None else set_phase_timers(timers)
-    registry = get_registry()
-    phases_before = phase_attribution(registry.snapshot())
+    trace_path = None if trace_path is None else os.fspath(trace_path)
     started = time.perf_counter()
-    try:
-        with _T_SPEC_EXPAND:
-            specs = campaign.expand(trace_path=(
-                None if trace_path is None else os.fspath(trace_path)
-            ))
+    with run_registry() as registry, shard_recording(trace_path):
+        with span("spec-expand"):
+            specs = campaign.expand(trace_path=trace_path)
             digests = campaign.digests
         scheduler = CampaignScheduler(
             store,
@@ -933,60 +949,33 @@ def run_campaign(
             chunk_size=chunk_size,
             live_extra={"campaign": campaign.name, "kind": "sweep"},
         )
-        with TRACER.span(
+        with span(
             "campaign", name=campaign.name, campaign_kind="sweep"
-        ) as span:
-            try:
-                played, deduped, errors = scheduler.run(
-                    list(zip(digests, specs)), max_games=max_games
-                )
-            except BaseException as exc:
-                # An exception escaping the scheduler is exactly the
-                # post-mortem the flight recorder exists for.
-                dump_on_fault(
-                    store.root,
-                    "scheduler-exception",
-                    campaign=campaign.name,
-                    error_type=type(exc).__name__,
-                )
-                raise
-            span.note(
+        ) as run:
+            played, deduped, errors = _schedule(
+                scheduler, campaign.name, list(zip(digests, specs)), max_games
+            )
+            run.note(
                 total=len(specs),
                 played=len(played),
                 deduped=deduped,
                 errors=len(errors),
             )
-        _finish_trace(trace_path)
         index = store.index()
-        rows = {
-            digest: index[digest] for digest in digests if digest in index
-        }
         wall = time.perf_counter() - started
-        phases = phase_delta(
-            phases_before, phase_attribution(registry.snapshot())
-        )
-        outcome = CampaignOutcome(
-            name=campaign.name,
-            total=len(specs),
-            played=len(played),
-            deduped=deduped,
-            rows=rows,
-            errors=errors,
-        )
-        store.record_run(
-            _run_summary(
-                outcome,
-                campaign_id,
-                kind="sweep",
-                max_games=max_games,
-                wall_seconds=wall,
-                phases=phases,
-            )
-        )
-        return outcome
-    finally:
-        if previous_timers is not None:
-            set_phase_timers(previous_timers)
+    _finish_trace(trace_path, registry)
+    outcome = CampaignOutcome(
+        name=campaign.name,
+        total=len(specs),
+        played=len(played),
+        deduped=deduped,
+        rows={digest: index[digest] for digest in digests if digest in index},
+        errors=errors,
+    )
+    store.record_run(
+        _run_summary(outcome, campaign_id, "sweep", max_games, wall, registry)
+    )
+    return outcome
 
 
 def _run_summary(
@@ -994,11 +983,12 @@ def _run_summary(
     campaign_id: str,
     kind: str,
     max_games: Optional[int],
-    wall_seconds: Optional[float] = None,
-    phases: Optional[Dict[str, float]] = None,
+    wall_seconds: float,
+    registry: MetricsRegistry,
 ) -> Dict[str, Any]:
     # ``campaign`` is the spec's name, which two different specs may
     # share; ``campaign_id`` (the manifest hash) identifies the spec.
+    phases = phase_attribution(registry.snapshot())
     summary = {
         "campaign": outcome.name,
         "campaign_id": campaign_id,
@@ -1008,17 +998,14 @@ def _run_summary(
         "deduped": outcome.deduped,
         "errors": len(outcome.errors),
         "max_games": max_games,
+        "wall_seconds": round(wall_seconds, 6),
+        "phases": {
+            name: round(seconds, 6) for name, seconds in sorted(phases.items())
+        },
     }
-    if wall_seconds is not None:
-        summary["wall_seconds"] = round(wall_seconds, 6)
-        if phases:
-            summary["phases"] = {
-                name: round(seconds, 6)
-                for name, seconds in sorted(phases.items())
-            }
-            coverage = attribution_coverage(phases, wall_seconds)
-            if coverage is not None:
-                summary["phase_coverage"] = round(coverage, 4)
+    coverage = attribution_coverage(phases, wall_seconds)
+    if coverage is not None:
+        summary["phase_coverage"] = round(coverage, 4)
     return summary
 
 
@@ -1102,7 +1089,6 @@ def run_threshold_search(
     max_worker_restarts: Optional[int] = None,
     poison_threshold: int = 3,
     chunk_size: Optional[int] = None,
-    timers: Optional[bool] = None,
 ) -> Tuple[List[ThresholdResult], CampaignOutcome]:
     """Run (or resume) the adaptive threshold-search campaign.
 
@@ -1114,15 +1100,12 @@ def run_threshold_search(
     the resumed run re-derives the same probe sequence and finds every
     already-answered probe in the store.
 
-    ``timers`` works as in :func:`run_campaign`: phase attribution for
-    this run, recorded in the run-ledger entry.
+    The run-ledger entry carries the wall-clock and phase split, as in
+    :func:`run_campaign`.
     """
     spec.validate()
     store = ResultStore(store_dir)
     campaign_id = store.record_manifest(spec.to_payload())
-    previous_timers = None if timers is None else set_phase_timers(timers)
-    registry = get_registry()
-    phases_before = phase_attribution(registry.snapshot())
     started = time.perf_counter()
     scheduler = CampaignScheduler(
         store,
@@ -1149,12 +1132,12 @@ def run_threshold_search(
     budget = max_games
     rows: Dict[str, Dict[str, Any]] = {}
 
-    try:
-        with TRACER.span(
+    with run_registry() as registry, shard_recording(trace_path):
+        with span(
             "campaign", name=spec.name, campaign_kind="threshold"
-        ) as span:
+        ) as run:
             while True:
-                with _T_SPEC_EXPAND:
+                with span("spec-expand"):
                     wave: List[
                         Tuple[Tuple[AdversaryRef, str], int, WorkItem]
                     ] = []
@@ -1170,18 +1153,9 @@ def run_threshold_search(
                         wave.append((combo, locality, (hash_of(game), game)))
                 if not wave or budget == 0:
                     break
-                try:
-                    played, deduped, wave_errors = scheduler.run(
-                        [item for _, _, item in wave], max_games=budget
-                    )
-                except BaseException as exc:
-                    dump_on_fault(
-                        store.root,
-                        "scheduler-exception",
-                        campaign=spec.name,
-                        error_type=type(exc).__name__,
-                    )
-                    raise
+                played, deduped, wave_errors = _schedule(
+                    scheduler, spec.name, [item for _, _, item in wave], budget
+                )
                 if budget is not None:
                     budget -= len(played)
                 played_total += len(played)
@@ -1201,53 +1175,42 @@ def run_threshold_search(
                     progressed = True
                 if not progressed:
                     break  # every remaining probe failed or out of budget
-            span.note(
+            run.note(
                 combos=len(combos),
                 played=played_total,
                 deduped=deduped_total,
                 errors=len(errors),
             )
-        _finish_trace(trace_path)
-
-        results = [
-            ThresholdResult(
-                adversary=ref.label(),
-                victim=victim,
-                low=spec.low,
-                high=spec.high,
-                threshold=states[(ref, victim)].threshold,
-                probes=probes[(ref, victim)],
-                converged=states[(ref, victim)].done,
-                n=max(sizes[(ref, victim)], default=None),
-            )
-            for ref, victim in combos
-        ]
         wall = time.perf_counter() - started
-        phases = phase_delta(
-            phases_before, phase_attribution(registry.snapshot())
+    _finish_trace(trace_path, registry)
+
+    results = [
+        ThresholdResult(
+            adversary=ref.label(),
+            victim=victim,
+            low=spec.low,
+            high=spec.high,
+            threshold=states[(ref, victim)].threshold,
+            probes=probes[(ref, victim)],
+            converged=states[(ref, victim)].done,
+            n=max(sizes[(ref, victim)], default=None),
         )
-        outcome = CampaignOutcome(
-            name=spec.name,
-            total=sum(probes.values()),
-            played=played_total,
-            deduped=deduped_total,
-            rows=rows,
-            errors=errors,
+        for ref, victim in combos
+    ]
+    outcome = CampaignOutcome(
+        name=spec.name,
+        total=sum(probes.values()),
+        played=played_total,
+        deduped=deduped_total,
+        rows=rows,
+        errors=errors,
+    )
+    store.record_run(
+        _run_summary(
+            outcome, campaign_id, "threshold", max_games, wall, registry
         )
-        store.record_run(
-            _run_summary(
-                outcome,
-                campaign_id,
-                kind="threshold",
-                max_games=max_games,
-                wall_seconds=wall,
-                phases=phases,
-            )
-        )
-        return results, outcome
-    finally:
-        if previous_timers is not None:
-            set_phase_timers(previous_timers)
+    )
+    return results, outcome
 
 
 def threshold_table(results: Sequence[ThresholdResult]) -> str:

@@ -40,13 +40,12 @@ Guarantees:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.adversaries.result import AdversaryResult
 from repro.observability.metrics import scoped_registry
-from repro.observability.trace import TRACER, JsonlTraceRecorder, shard_path
+from repro.observability.trace import shard_recording
 from repro.robustness.supervisor import GamePolicy, SupervisedGame
 
 
@@ -113,38 +112,28 @@ def play_spec(spec: GameSpec) -> WorkerResult:
         get_victim,
     )
 
-    activated = False
-    if spec.trace_path is not None and not TRACER.enabled:
-        TRACER.activate(
-            JsonlTraceRecorder(shard_path(spec.trace_path, os.getpid()))
+    with shard_recording(spec.trace_path), scoped_registry() as registry:
+        entry = get_adversary(spec.adversary)(
+            spec.locality, **dict(spec.params)
         )
-        activated = True
-    try:
-        with scoped_registry() as registry:
-            entry = get_adversary(spec.adversary)(
-                spec.locality, **dict(spec.params)
-            )
-            labels = {"adversary": spec.adversary}
-            if isinstance(entry, FixedVictimGame):
-                if spec.victim != FIXED_VICTIM:
-                    raise ValueError(
-                        f"{spec.adversary} is a fixed-victim game; spec named "
-                        f"victim {spec.victim!r}"
-                    )
-                game = SupervisedGame(
-                    lambda _victim, e=entry: e.play(), spec.policy, labels=labels
+        labels = {"adversary": spec.adversary}
+        if isinstance(entry, FixedVictimGame):
+            if spec.victim != FIXED_VICTIM:
+                raise ValueError(
+                    f"{spec.adversary} is a fixed-victim game; spec named "
+                    f"victim {spec.victim!r}"
                 )
-                result = game.run(None)
-            else:
-                factory = get_victim(spec.victim)
-                result = SupervisedGame(
-                    entry, spec.policy, labels=labels
-                ).run(factory())
-            row = _row_from_result(
-                spec.adversary, spec.victim, spec.locality, result
+            game = SupervisedGame(
+                lambda _victim, e=entry: e.play(), spec.policy, labels=labels
             )
-            snapshot = registry.snapshot()
-    finally:
-        if activated:
-            TRACER.deactivate()
+            result = game.run(None)
+        else:
+            factory = get_victim(spec.victim)
+            result = SupervisedGame(
+                entry, spec.policy, labels=labels
+            ).run(factory())
+        row = _row_from_result(
+            spec.adversary, spec.victim, spec.locality, result
+        )
+        snapshot = registry.snapshot()
     return WorkerResult(row=row, metrics=snapshot, result=result)

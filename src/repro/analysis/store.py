@@ -58,16 +58,8 @@ import os
 import threading
 from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Sequence
 
-from repro.observability.timers import phase_timer
+from repro.observability.trace import span
 from repro.robustness.journal import SweepJournal, parse_rows
-
-# Phase-attribution handles (repro.observability.timers): fsyncing a
-# result row and loading the shard index are two of the campaign phases
-# the wall-clock table must account for.  The handles carry whatever
-# scope the recording process set, so worker-side appends show up as
-# ``worker:store-fsync`` and parent-side ones bare.
-_T_STORE_FSYNC = phase_timer("store-fsync")
-_T_STORE_INDEX = phase_timer("store-index")
 
 #: The row field carrying the content address.
 HASH_FIELD = "spec_hash"
@@ -163,7 +155,7 @@ class ResultStore:
         Concurrent readers on one instance take turns under its lock.
         """
         out: List[Dict[str, Any]] = []
-        with self._lock, _T_STORE_INDEX:
+        with self._lock, span("store-index"):
             paths = self.row_files()  # one snapshot, taken up front
             for gone in self._cursors.keys() - set(paths):
                 del self._cursors[gone]
@@ -227,7 +219,7 @@ class ResultStore:
                 raise ValueError(f"result rows must carry {HASH_FIELD!r}")
         if not rows:
             return
-        with _T_STORE_FSYNC:
+        with span("store-fsync"):
             os.makedirs(self.root, exist_ok=True)
             self.writer().append_many([dict(row) for row in rows])
 

@@ -44,17 +44,20 @@ fan-out with a supervised pool:
   pool stops, hands the un-played remainder back to the scheduler, and
   the scheduler finishes **in-process serially** instead of raising.
 
-Observability: the drain runs inside a ``worker-pool`` trace span;
-worker lifecycle transitions are trace events (``worker-spawned``,
-``worker-adopted``, ``worker-died``, ``lease-expired``,
-``game-requeued``, ``game-quarantined``, ``pool-degraded``) and the
-counters ``campaign_worker_restarts`` / ``campaign_lease_expirations``
-/ ``campaign_games_requeued`` / ``campaign_games_quarantined`` /
-``campaign_pool_degradations`` / ``campaign_warm_adoptions`` fold
-through the ordinary registry.  Heartbeats (one per game start), the
-rate-limited ``live.json`` status, phase timers (``ack-wait`` is the
-parent blocked on worker pipes, ``ack-drain`` the actual recv+fold
-cost), and the flight recorder all carry over from PR-8 unchanged.
+Observability: the drain runs inside a ``worker-pool`` span, and its
+phases (``ack-wait`` is the parent blocked on worker pipes,
+``ack-drain`` the actual recv+fold cost) are spans too.  Worker
+lifecycle transitions are events (``pool-start``, ``worker-spawned``,
+``worker-adopted``, ``dispatch``, ``worker-died``, ``game-requeued``,
+``game-error``, ``pool-finished``), so they reach the flight ring and,
+when the run is traced, the trace; lease expiry, quarantine and
+degradation are ``fault`` events recorded by the flight dump they
+trigger.  The counters ``campaign_worker_restarts`` /
+``campaign_lease_expirations`` / ``campaign_games_requeued`` /
+``campaign_games_quarantined`` / ``campaign_pool_degradations`` /
+``campaign_warm_adoptions`` fold through the ordinary registry, next to
+heartbeats (one per game start) and the rate-limited ``live.json``
+status.
 
 Chaos: workers consult an optional
 :class:`~repro.robustness.chaos.ChaosPolicy` (normally passed via the
@@ -86,35 +89,16 @@ from repro.analysis.store import (
     ResultStore,
 )
 from repro.observability.export import write_live_status
-from repro.observability.flightrec import FLIGHT, dump_on_fault
+from repro.observability.flightrec import dump_on_fault
 from repro.observability.metrics import get_registry, scoped_registry
-from repro.observability.timers import (
+from repro.observability.trace import (
     WORKER_SCOPE,
+    event,
     phase_attribution,
-    phase_timer,
-    phase_timers_enabled,
     set_phase_scope,
-    set_phase_timers,
+    span,
 )
-from repro.observability.trace import TRACER
 from repro.robustness.chaos import ChaosPolicy, inject_corrupt_row
-
-# Parent-side phase handles (module-level so the per-event cost is one
-# registry identity check; see repro.observability.timers).  ack-wait is
-# the parent *blocked* on worker pipes (healthy overlap with worker
-# compute); ack-drain is the recv + bookkeeping that is real IPC cost.
-_T_POOL_SPAWN = phase_timer("pool-spawn")
-_T_PIPE_SEND = phase_timer("pipe-send")
-_T_ACK_WAIT = phase_timer("ack-wait")
-_T_ACK_DRAIN = phase_timer("ack-drain")
-_T_LEASE_SWEEP = phase_timer("lease-sweep")
-# Worker-side handles pick up the "worker:" scope set in _pool_worker.
-# play_chunk's compute, like the store fsync timed inside
-# ResultStore.add_many, books under whichever scope the playing process
-# runs: "compute" in the serial scheduler, "worker:compute" in a worker.
-_T_W_RECV = phase_timer("pipe-recv")
-_T_COMPUTE = phase_timer("compute")
-_T_W_SEND = phase_timer("pipe-send")
 
 #: One work item as the scheduler hands it over: (content hash, spec).
 WorkItem = Tuple[str, GameSpec]
@@ -309,15 +293,14 @@ class WorkerConfig:
     """Everything a worker needs to (re)configure itself for a campaign.
 
     Shipped at spawn and again on adoption from the warm pool, so a
-    parked worker always serves the *current* campaign's store, chaos
-    policy, and timer setting.
+    parked worker always serves the *current* campaign's store and
+    chaos policy.
     """
 
     store_root: str
     retries: int
     backoff: float
     chaos: Optional[ChaosPolicy]
-    timers_on: bool
 
 
 @dataclass
@@ -464,7 +447,9 @@ def play_chunk(
         for digest, spec, attempt in items:
             keep = before_game(digest, attempt)
             try:
-                with _T_COMPUTE:
+                # "compute" in the serial scheduler, "worker:compute" in
+                # a pool worker (the scope _pool_worker sets).
+                with span("compute"):
                     outcome = _play_with_retry(spec, retries, backoff)
             except Exception as exc:
                 detail = "".join(
@@ -514,7 +499,6 @@ class _WorkerState:
 def _worker_apply_config(
     config: WorkerConfig, state: _WorkerState, index: int
 ) -> None:
-    set_phase_timers(config.timers_on)
     state.store = ResultStore(config.store_root)
     state.retries = config.retries
     state.backoff = config.backoff
@@ -591,7 +575,7 @@ def _serve_chunk(
     metrics = worker_registry.snapshot()
     worker_registry.reset()
     try:
-        with _T_W_SEND:
+        with span("pipe-send"):
             conn.send(("chunk-done", None, reports, metrics))
     except OSError:  # pragma: no cover - parent gone
         return None
@@ -610,13 +594,11 @@ def _pool_worker(index: int, conn, config: WorkerConfig, parent_pid: int) -> Non
     pool), so the worker probes the pool pid's liveness directly while
     idle and while stalled.
     """
-    # Phase timers: adopt the parent's setting explicitly (forkserver
-    # children do not inherit the module global from the pool process)
-    # and scope every phase this process records under "worker:" so
-    # merged parent snapshots keep worker-side time apart from
-    # parent-side time.  The fresh scoped registry matters under fork:
-    # the child inherits a *copy* of the parent's counters, and shipping
-    # that copy back would double every pre-fork count.
+    # Scope every phase this process records under "worker:" so merged
+    # parent snapshots keep worker-side time apart from parent-side
+    # time.  The fresh scoped registry matters under fork: the child
+    # inherits a *copy* of the parent's counters, and shipping that copy
+    # back would double every pre-fork count.
     set_phase_scope(WORKER_SCOPE)
     state = _WorkerState(parent_pid)
     _worker_apply_config(config, state, index)
@@ -624,7 +606,7 @@ def _pool_worker(index: int, conn, config: WorkerConfig, parent_pid: int) -> Non
     with scoped_registry() as worker_registry:
         while True:
             try:
-                with _T_W_RECV:
+                with span("pipe-recv"):
                     while not conn.poll(1.0):
                         if not pid_alive(state.parent_pid):
                             return
@@ -641,8 +623,7 @@ def _pool_worker(index: int, conn, config: WorkerConfig, parent_pid: int) -> Non
             if kind == "configure":
                 # Warm adoption: the park-wait interval belongs to no
                 # campaign, so drop anything the registry accrued since
-                # the last chunk ack (e.g. worker:pipe-recv timed while
-                # the previous campaign's timers were still on).
+                # the last chunk ack (the worker:pipe-recv of the wait).
                 worker_registry.reset()
                 _worker_apply_config(item[1], state, index)
                 continue
@@ -769,12 +750,12 @@ class SupervisedWorkerPool:
         losses: Dict[str, int] = {}
         pool_size = min(self.workers, len(work))
         total = len(work)
-        FLIGHT.record("pool-start", workers=pool_size, games=total)
+        event("pool-start", workers=pool_size, games=total)
         fleet: List[_Worker] = [
             self._spawn(ctx, index) for index in range(pool_size)
         ]
 
-        with TRACER.span("worker-pool", workers=pool_size) as span:
+        with span("worker-pool", workers=pool_size) as drain:
             while True:
                 for worker in fleet:
                     if worker.lease is None:
@@ -793,25 +774,25 @@ class SupervisedWorkerPool:
                 ):
                     self._degrade(outcome, pending, fleet, registry)
                     break
-                with _T_LEASE_SWEEP:
+                with span("lease-sweep"):
                     self._publish_live(
                         fleet, pending, outcome, total, registry, done=False,
                     )
-            with _T_LEASE_SWEEP:
+            with span("lease-sweep"):
                 self._shutdown(fleet)
                 registry.set("campaign_queue_depth", self._max_queue_depth)
                 registry.set("campaign_in_flight", self._max_in_flight)
                 self._publish_live(
                     fleet, pending, outcome, total, registry, done=True
                 )
-            FLIGHT.record(
+            event(
                 "pool-finished",
                 games=len(outcome.rows),
                 errors=len(outcome.errors),
                 restarts=outcome.restarts,
                 degraded=outcome.degraded,
             )
-            span.note(
+            drain.note(
                 restarts=outcome.restarts,
                 lease_expirations=outcome.lease_expirations,
                 requeues=outcome.requeues,
@@ -892,7 +873,6 @@ class SupervisedWorkerPool:
             retries=self.retries,
             backoff=self.backoff,
             chaos=self.chaos,
-            timers_on=phase_timers_enabled(),
         )
 
     def _spawn(self, ctx, index: int) -> _Worker:
@@ -900,7 +880,7 @@ class SupervisedWorkerPool:
         adopted = self._adopt_warm(index, config)
         if adopted is not None:
             return adopted
-        with _T_POOL_SPAWN:
+        with span("pool-spawn"):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
                 target=_pool_worker,
@@ -911,8 +891,7 @@ class SupervisedWorkerPool:
             # Drop the parent's copy of the child end so a dead worker
             # reads as EOF instead of a silent hang.
             child_conn.close()
-        TRACER.event("worker-spawned", worker=index, pid=process.pid)
-        FLIGHT.record("worker-spawned", worker=index, pid=process.pid)
+        event("worker-spawned", worker=index, pid=process.pid)
         return _Worker(
             index=index,
             process=process,
@@ -928,14 +907,13 @@ class SupervisedWorkerPool:
                 return None
             process, conn = pair
             try:
-                with _T_PIPE_SEND:
+                with span("pipe-send"):
                     conn.send(("configure", config))
             except OSError:
                 WarmWorkerPool._discard(process, conn)
                 continue
             get_registry().inc("campaign_warm_adoptions")
-            TRACER.event("worker-adopted", worker=index, pid=process.pid)
-            FLIGHT.record("worker-adopted", worker=index, pid=process.pid)
+            event("worker-adopted", worker=index, pid=process.pid)
             return _Worker(
                 index=index,
                 process=process,
@@ -987,7 +965,7 @@ class SupervisedWorkerPool:
             started=now,
             deadline=deadline,
         )
-        FLIGHT.record(
+        event(
             "dispatch",
             worker=worker.index,
             digest=chunk[0][0],
@@ -995,7 +973,7 @@ class SupervisedWorkerPool:
             games=len(chunk),
         )
         try:
-            with _T_PIPE_SEND:
+            with span("pipe-send"):
                 worker.conn.send(("chunk", chunk))
         except OSError:
             # Worker already dead: undo the dispatch (keeping the
@@ -1015,15 +993,18 @@ class SupervisedWorkerPool:
             for worker in fleet
             if worker.conn is not None and not worker.broken
         }
+        # ack-wait is the parent *blocked* on worker pipes (healthy
+        # overlap with worker compute); ack-drain is the recv and
+        # bookkeeping that is real IPC cost.
         if not by_conn:
-            with _T_ACK_WAIT:
+            with span("ack-wait"):
                 time.sleep(self.heartbeat)
             return
-        with _T_ACK_WAIT:
+        with span("ack-wait"):
             ready = _connection_wait(list(by_conn), timeout=self.heartbeat)
         for conn in ready:
             worker = by_conn[conn]
-            with _T_ACK_DRAIN:
+            with span("ack-drain"):
                 try:
                     message = conn.recv()
                 except Exception:
@@ -1060,7 +1041,7 @@ class SupervisedWorkerPool:
                             entry_digest, self._specs[entry_digest], detail
                         )
                     )
-                    FLIGHT.record(
+                    event(
                         "game-error", worker=worker.index, digest=entry_digest
                     )
                     continue
@@ -1112,7 +1093,7 @@ class SupervisedWorkerPool:
         for worker in list(fleet):
             # The respawn below runs outside the lease-sweep timing so
             # its cost lands in the pool-spawn phase, not twice.
-            with _T_LEASE_SWEEP:
+            with span("lease-sweep"):
                 dead = worker.broken or not worker.process.is_alive()
                 expired = (
                     not dead
@@ -1126,14 +1107,6 @@ class SupervisedWorkerPool:
                     blamed_digest, _, blamed_attempt = worker.lease.blamed
                     outcome.lease_expirations += 1
                     registry.inc("campaign_lease_expirations")
-                    TRACER.event(
-                        "lease-expired",
-                        worker=worker.index,
-                        pid=worker.process.pid,
-                        digest=blamed_digest,
-                        attempt=blamed_attempt,
-                        games=len(worker.lease.items),
-                    )
                     dump_on_fault(
                         self.store.root,
                         "lease-expired",
@@ -1141,17 +1114,11 @@ class SupervisedWorkerPool:
                         pid=worker.process.pid,
                         digest=blamed_digest,
                         attempt=blamed_attempt,
+                        games=len(worker.lease.items),
                     )
                 worker.process.kill()
                 worker.process.join()
-                TRACER.event(
-                    "worker-died",
-                    worker=worker.index,
-                    pid=worker.process.pid,
-                    exitcode=worker.process.exitcode,
-                    cause="lease-expired" if expired else "worker-death",
-                )
-                FLIGHT.record(
+                event(
                     "worker-died",
                     worker=worker.index,
                     pid=worker.process.pid,
@@ -1168,7 +1135,7 @@ class SupervisedWorkerPool:
                 self._account_loss(
                     worker.lease, pending, outcome, losses, registry
                 )
-            with _T_LEASE_SWEEP:
+            with span("lease-sweep"):
                 if outcome.restarts >= self.max_worker_restarts:
                     return False
                 outcome.restarts += 1
@@ -1211,11 +1178,12 @@ class SupervisedWorkerPool:
                 blamed_digest, blamed_spec, losses[blamed_digest]
             )
             self.store.add(row)
-            with _T_LEASE_SWEEP:
+            with span("lease-sweep"):
                 outcome.rows[blamed_digest] = row
                 outcome.quarantined.append(blamed_digest)
                 registry.inc("campaign_games_quarantined")
-                TRACER.event(
+                dump_on_fault(
+                    self.store.root,
                     "game-quarantined",
                     digest=blamed_digest,
                     adversary=blamed_spec.adversary,
@@ -1223,29 +1191,15 @@ class SupervisedWorkerPool:
                     locality=blamed_spec.locality,
                     losses=losses[blamed_digest],
                 )
-                dump_on_fault(
-                    self.store.root,
-                    "game-quarantined",
-                    digest=blamed_digest,
-                    adversary=blamed_spec.adversary,
-                    victim=blamed_spec.victim,
-                    losses=losses[blamed_digest],
-                )
             unacked = [
                 item for item in unacked if item[0] != blamed_digest
             ]
-        with _T_LEASE_SWEEP:
+        with span("lease-sweep"):
             for digest, spec, attempt in unacked:
                 pending.append((digest, spec))
                 outcome.requeues += 1
                 registry.inc("campaign_games_requeued")
-                TRACER.event(
-                    "game-requeued",
-                    digest=digest,
-                    attempt=attempt,
-                    losses=losses.get(digest, 0),
-                )
-                FLIGHT.record(
+                event(
                     "game-requeued",
                     digest=digest,
                     attempt=attempt,
@@ -1285,12 +1239,6 @@ class SupervisedWorkerPool:
         pending.clear()
         outcome.leftover = leftover
         registry.inc("campaign_pool_degradations")
-        TRACER.event(
-            "pool-degraded",
-            remaining=len(leftover),
-            restarts=outcome.restarts,
-            budget=self.max_worker_restarts,
-        )
         dump_on_fault(
             self.store.root,
             "pool-degraded",

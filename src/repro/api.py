@@ -209,6 +209,9 @@ class SubmitRequest:
     (``{"version": 1, "spec": {...}, "workers": ..., ...}``); unknown
     fields and foreign versions are rejected with structured errors so
     clients never silently misparse.
+
+    ``timers`` is accepted (a boolean or None) and ignored: every run
+    records its phase split.
     """
 
     spec: AnyCampaign
@@ -495,7 +498,7 @@ def _play_game(
 #: Run options carried by :class:`SubmitRequest`; passing them alongside
 #: a request object is ambiguous and rejected.
 _REQUEST_OPTION_FIELDS = frozenset(
-    {"workers", "max_games", "retries", "chunk_size", "timers"}
+    {"workers", "max_games", "retries", "chunk_size"}
 )
 
 
@@ -521,7 +524,6 @@ def _request_engine_kwargs(
         max_games=request.max_games,
         retries=request.retries,
         chunk_size=request.chunk_size,
-        timers=request.timers,
     )
     kwargs.update(options)  # machine-level plumbing: trace_path, ...
     return kwargs

@@ -20,8 +20,7 @@ Subcommands
     progress, the run ledger, and the latest phase-attribution table
     (``campaign status``), or follow an in-flight run's live telemetry
     (``campaign watch``).  See :mod:`repro.analysis.campaign` for the
-    spec format.  ``run``/``resume`` take ``--timers/--no-timers``
-    (default on) toggling phase-attribution profiling.
+    spec format.  ``run``/``resume`` print the run's phase table.
 ``serve``
     Serve the campaign engine over HTTP (``serve --store DIR``):
     typed submissions, deterministic row pagination, SSE progress
@@ -331,7 +330,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             max_worker_restarts=args.max_worker_restarts,
             poison_threshold=args.poison_threshold,
             chunk_size=args.chunk_size,
-            timers=args.timers,
         )
     else:
         results, outcome = run_threshold_search(
@@ -344,7 +342,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             max_worker_restarts=args.max_worker_restarts,
             poison_threshold=args.poison_threshold,
             chunk_size=args.chunk_size,
-            timers=args.timers,
         )
         print(threshold_table(results))
         print()
@@ -364,8 +361,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         )
     for error in outcome.errors:
         print(f"  error: {error}")
-    if args.timers:
-        _print_phase_table(args.store)
+    _print_phase_table(args.store)
     if args.metrics:
         _print_metrics()
     return 0 if not outcome.errors else 1
@@ -517,7 +513,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             max_games=args.max_games,
             retries=args.retries,
             chunk_size=args.chunk_size,
-            timers=args.timers,
         )
     except CampaignError as exc:
         raise UserError(str(exc)) from None
@@ -782,12 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
             "loses at most each writer's in-flight chunk, so 1 gives "
             "per-game durability",
         )
-        cmd.add_argument(
-            "--timers", action=argparse.BooleanOptionalAction, default=True,
-            help="phase-attribution timing for this run; the phase table "
-            "is printed afterwards and recorded in the run ledger "
-            "(default on)",
-        )
         cmd.set_defaults(func=cmd_campaign_run, require_store=require_store)
     status = csub.add_parser(
         "status", help="report store progress, the run ledger, and the "
@@ -877,11 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=_positive_int, default=None, metavar="N",
         help="games per worker lease, and per store write on the "
         "serial path (default: adaptive); 1 gives per-game durability",
-    )
-    submit.add_argument(
-        "--timers", action=argparse.BooleanOptionalAction, default=None,
-        help="phase-attribution timing for the served run "
-        "(default: server setting)",
     )
     submit.add_argument(
         "--watch", action="store_true",

@@ -12,7 +12,6 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tup
 
 from repro.graphs.graph import Graph
 from repro.observability.metrics import BoundCounter, get_registry
-from repro.observability.timers import phase_timer
 
 Node = Hashable
 
@@ -20,11 +19,6 @@ _BALL_HITS = BoundCounter("ball_cache_hits")
 _BALL_MISSES = BoundCounter("ball_cache_misses")
 _FULL_FLUSHES = BoundCounter("ball_cache_full_flushes")
 _BUCKET_REATTACHES = BoundCounter("ball_cache_bucket_reattach")
-
-# Phase-attribution handle (repro.observability.timers): miss-path ball
-# extraction is the graph layer's row in the phase table (nested inside
-# compute, so informational — not coverage).
-_T_BALL_EXTRACT = phase_timer("ball-extract")
 
 #: Names of the registry counters the cache maintains, in reporting order.
 _CACHE_COUNTERS = (
@@ -139,9 +133,7 @@ def ball(graph: Graph, sources: Union[Node, Iterable[Node]], radius: int) -> Set
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    srcs = _as_sources(sources, graph)
-    with _T_BALL_EXTRACT:
-        return _sweep(graph, srcs, radius)[0]
+    return _sweep(graph, _as_sources(sources, graph), radius)[0]
 
 
 class BallCache:

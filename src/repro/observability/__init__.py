@@ -1,28 +1,27 @@
-"""Observability: metrics registry, structured traces, and reporting.
+"""Observability: one instrumentation primitive, the registry it
+feeds, and the reports over both (see ``docs/observability.md``).
 
-Three pieces (see ``docs/observability.md``):
-
+* :mod:`repro.observability.trace` — :func:`span` and :func:`event`,
+  the two calls every instrumented site goes through: a span always
+  times into a ``phase_seconds.*`` histogram and an event always lands
+  in the flight ring; while tracing, both are also written to a
+  kill-safe JSON-lines trace.  Phase attribution over registry
+  snapshots lives here too.
 * :mod:`repro.observability.metrics` — dependency-free counters, gauges,
   and timing histograms behind a process-local registry whose snapshots
   merge associatively across worker processes.
-* :mod:`repro.observability.trace` — a kill-safe JSON-lines event/span
-  recorder, disabled by default (the hot path pays one attribute check),
-  wired through the simulators, adversaries, and the game supervisor.
+* :mod:`repro.observability.flightrec` — the always-on bounded ring of
+  recent events, dumped kill-safely to JSON lines on supervisor faults.
 * :mod:`repro.observability.stats` — aggregation of a trace file into
   the human-readable report served by ``repro.cli stats``.
-* :mod:`repro.observability.timers` — phase-attribution timers breaking
-  campaign wall-clock down into named phases (IPC vs. compute vs.
-  fsync), recorded as registry histograms so worker snapshots merge.
-* :mod:`repro.observability.flightrec` — an always-on bounded ring of
-  recent events, dumped kill-safely to JSON lines on supervisor faults.
 * :mod:`repro.observability.export` — Prometheus-text / JSON exporters
   over registry snapshots and the ``live.json`` campaign telemetry file
   behind ``repro campaign watch``.
 
-Only ``metrics``, ``trace``, ``timers``, and ``flightrec`` are imported
-eagerly: low-level modules (``repro.graphs.traversal``) import the
-registry from here, so ``stats`` — which pulls in the analysis layer —
-is loaded lazily via PEP 562 to keep the import graph acyclic.
+Only ``metrics``, ``trace``, and ``flightrec`` are imported eagerly:
+low-level modules (``repro.graphs.traversal``) import the registry from
+here, so ``stats`` — which pulls in the analysis layer — is loaded
+lazily via PEP 562 to keep the import graph acyclic.
 """
 
 from __future__ import annotations
@@ -42,23 +41,16 @@ from repro.observability.metrics import (
     scoped_registry,
     set_registry,
 )
-from repro.observability.timers import (
-    NULL_TIMER,
-    NullTimer,
-    PhaseTimer,
-    attribution_coverage,
-    phase_attribution,
-    phase_timer,
-    phase_timers_enabled,
-    set_phase_scope,
-    set_phase_timers,
-    timed_phases,
-)
 from repro.observability.trace import (
     TRACER,
     JsonlTraceRecorder,
+    attribution_coverage,
+    event,
     merge_trace_shards,
+    phase_attribution,
     read_trace,
+    set_phase_scope,
+    span,
     tracing,
 )
 
@@ -75,14 +67,9 @@ __all__ = [
     "tracing",
     "read_trace",
     "merge_trace_shards",
-    "PhaseTimer",
-    "NullTimer",
-    "NULL_TIMER",
-    "phase_timer",
-    "phase_timers_enabled",
-    "set_phase_timers",
+    "span",
+    "event",
     "set_phase_scope",
-    "timed_phases",
     "phase_attribution",
     "attribution_coverage",
     "FlightRecorder",

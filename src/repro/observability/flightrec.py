@@ -11,7 +11,9 @@ in-process ring buffer (:class:`FlightRecorder`, default 1024 entries)
 that is **always on** and **always cheap** — recording an event is a
 dict build plus a ``deque.append``, no clock syscalls beyond one
 ``time.monotonic`` and no I/O — and is written to disk only when
-something goes wrong.  The supervisor dumps it on:
+something goes wrong.  Harness sites record into it only through
+:func:`repro.observability.trace.event`, which also writes the same
+transition to the trace while tracing.  The supervisor dumps it on:
 
 * lease expiry (a worker hung past its deadline and was SIGKILLed),
 * poison quarantine (a game killed ``poison_threshold`` workers),
@@ -167,12 +169,16 @@ def dump_on_fault(root: Optional[str], reason: str, **fields: Any) -> Optional[s
     """Record a fault event and dump the ring under ``root``.
 
     The supervisor's one-liner: records ``kind="fault"`` with the
-    caller's fields, then dumps next to the campaign store.  Returns
-    the dump path, or ``None`` when ``root`` is unset or the dump
-    itself fails (a flight recorder must never turn a fault into a
-    second fault — the original error always propagates instead).
+    caller's fields through :func:`~repro.observability.trace.event`
+    (so a traced run sees the fault too), then dumps next to the
+    campaign store.  Returns the dump path, or ``None`` when ``root`` is
+    unset or the dump itself fails (a flight recorder must never turn a
+    fault into a second fault — the original error always propagates
+    instead).
     """
-    FLIGHT.record("fault", reason=reason, **fields)
+    from repro.observability.trace import event
+
+    event("fault", reason=reason, **fields)
     if not root:
         return None
     try:

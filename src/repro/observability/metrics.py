@@ -7,7 +7,7 @@ class globals that never crossed a multiprocessing boundary.  The
 :class:`MetricsRegistry` fixes both problems:
 
 * **Named instruments** — ``registry.inc("reveals_total")``,
-  ``registry.observe("game_wall_seconds", 0.41)`` — are created lazily
+  ``registry.observe("phase_seconds.game", 0.41)`` — are created lazily
   and returned as stable objects, so call sites never need set-up code.
 * **Snapshot / merge** — :meth:`MetricsRegistry.snapshot` produces a
   plain JSON-able dict; :meth:`MetricsRegistry.merge` folds a snapshot
@@ -29,7 +29,6 @@ Instrument names used across the harness (see ``docs/observability.md``):
 ``local_outputs_total``     LOCAL-model node outputs computed
 ``slocal_steps_total``      SLOCAL sequential steps served
 ``gkm_emulations_total``    GKM ball emulations executed
-``game_wall_seconds``       histogram of supervised game durations
 ``campaign_games_played``   campaign games actually played this run
 ``campaign_games_deduped``  campaign games answered from the result store
 ``campaign_game_retries``   supervised re-attempts inside campaign games
@@ -42,20 +41,25 @@ Instrument names used across the harness (see ``docs/observability.md``):
 ``campaign_worker_heartbeats``  worker heartbeat acks received by the parent
 ``campaign_queue_depth``    gauge: max pending games observed by the pool
 ``campaign_in_flight``      gauge: max leased (in-flight) games observed
-``phase_seconds.<phase>``   histograms: per-phase wall-clock attribution
-                            (:mod:`repro.observability.timers`)
+``phase_seconds.<phase>``   histograms: each span's wall-clock
+                            (:func:`repro.observability.trace.span`);
+                            ``phase_seconds.game`` times every game
 ==========================  ============================================
 
 The process-local default registry is reached through
 :func:`get_registry`; :func:`scoped_registry` swaps in a fresh one for a
 delimited stretch of work (one worker game, one benchmark config) and
-restores the previous registry afterwards.
+restores the previous registry afterwards.  :func:`run_registry` scopes
+one campaign run: its :class:`RunRegistry` counts that run alone and
+records into the caller's registry as it goes, and while it is open
+every other thread records into the caller's registry, never the run's.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 
 class Counter:
@@ -88,6 +92,11 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
+    def raise_to(self, value: float) -> None:
+        """Merge a snapshot's value: keep the maximum."""
+        if self.value is None or value > self.value:
+            self.value = value
+
 
 class Histogram:
     """A streaming summary of observed values: count, sum, min, max."""
@@ -108,6 +117,17 @@ class Histogram:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
+
+    def absorb(self, summary: Mapping[str, Any]) -> None:
+        """Merge a snapshot's summary: add counts and sums, widen
+        min/max."""
+        self.count += summary.get("count", 0)
+        self.total += summary.get("sum", 0.0)
+        low, high = summary.get("min"), summary.get("max")
+        if low is not None and (self.minimum is None or low < self.minimum):
+            self.minimum = low
+        if high is not None and (self.maximum is None or high > self.maximum):
+            self.maximum = high
 
     @property
     def mean(self) -> Optional[float]:
@@ -193,24 +213,9 @@ class MetricsRegistry:
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            if gauge.value is None or value > gauge.value:
-                gauge.value = value
+            self.gauge(name).raise_to(value)
         for name, summary in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name)
-            hist.count += summary.get("count", 0)
-            hist.total += summary.get("sum", 0.0)
-            for bound, pick in (("min", min), ("max", max)):
-                incoming = summary.get(bound)
-                if incoming is None:
-                    continue
-                attr = "minimum" if bound == "min" else "maximum"
-                current = getattr(hist, attr)
-                setattr(
-                    hist,
-                    attr,
-                    incoming if current is None else pick(current, incoming),
-                )
+            self.histogram(name).absorb(summary)
 
     def reset(self) -> None:
         """Zero every instrument in place (handles stay valid)."""
@@ -242,6 +247,9 @@ class _NullGauge(Gauge):
     def set(self, value: float) -> None:
         pass
 
+    def raise_to(self, value: float) -> None:
+        pass
+
 
 class _NullHistogram(Histogram):
     """A shared sink histogram whose :meth:`observe` discards the value."""
@@ -249,6 +257,9 @@ class _NullHistogram(Histogram):
     __slots__ = ()
 
     def observe(self, value: float) -> None:
+        pass
+
+    def absorb(self, summary: Mapping[str, Any]) -> None:
         pass
 
 
@@ -286,12 +297,92 @@ class NullRegistry(MetricsRegistry):
         pass
 
 
+class _Tee:
+    """A :class:`RunRegistry` instrument: records into ``parent`` too."""
+
+    __slots__ = ()
+
+    def __init__(self, name: str, parent) -> None:
+        super().__init__(name)
+        self.parent = parent
+
+
+class _TeeCounter(_Tee, Counter):
+    __slots__ = ("parent",)
+
+    def inc(self, amount: int = 1) -> None:
+        self.value += amount
+        self.parent.inc(amount)
+
+
+class _TeeGauge(_Tee, Gauge):
+    __slots__ = ("parent",)
+
+    def set(self, value: float) -> None:
+        self.value = value
+        self.parent.set(value)
+
+    def raise_to(self, value: float) -> None:
+        Gauge.raise_to(self, value)
+        self.parent.raise_to(value)
+
+
+class _TeeHistogram(_Tee, Histogram):
+    __slots__ = ("parent",)
+
+    def observe(self, value: float) -> None:
+        Histogram.observe(self, value)
+        self.parent.observe(value)
+
+    def absorb(self, summary: Mapping[str, Any]) -> None:
+        Histogram.absorb(self, summary)
+        self.parent.absorb(summary)
+
+
+class RunRegistry(MetricsRegistry):
+    """One run's instruments, recorded into ``parent`` as they happen:
+    its :meth:`snapshot` counts the run alone, while ``parent`` stays
+    live (a server's ``/metrics`` during a job) and ends with the same
+    totals."""
+
+    def __init__(self, parent: MetricsRegistry) -> None:
+        super().__init__()
+        self.parent = parent
+
+    def counter(self, name: str) -> Counter:
+        return _tee(self.counters, name, _TeeCounter, self.parent.counter)
+
+    def gauge(self, name: str) -> Gauge:
+        return _tee(self.gauges, name, _TeeGauge, self.parent.gauge)
+
+    def histogram(self, name: str) -> Histogram:
+        return _tee(
+            self.histograms, name, _TeeHistogram, self.parent.histogram
+        )
+
+
+def _tee(instruments: Dict[str, Any], name: str, kind, parent) -> Any:
+    instrument = instruments.get(name)
+    if instrument is None:
+        instrument = instruments[name] = kind(name, parent(name))
+    return instrument
+
+
 #: The process-local default registry.
 _registry = MetricsRegistry()
+#: While a run is open (:func:`run_registry`): the thread it runs on,
+#: and the registry every other thread records into meanwhile.
+_run_thread: Optional[int] = None
+_run_caller: Optional[MetricsRegistry] = None
 
 
 def get_registry() -> MetricsRegistry:
-    """The currently active registry (process-local)."""
+    """The registry the calling thread records into: the active one,
+    except while a run is open on another thread — then the registry
+    that run was started from, so a server thread reading the store
+    never lands in a job's figures."""
+    if _run_thread is not None and threading.get_ident() != _run_thread:
+        return _run_caller
     return _registry
 
 
@@ -316,6 +407,9 @@ class BoundCounter:
     swaps registries — so scoped workers and benchmarks still see
     exactly their own deltas, and a :class:`NullRegistry` (whose
     ``counter()`` returns a shared sink) still suppresses recording.
+
+    It skips :func:`get_registry`'s thread check: only game code
+    increments these counters, and a game plays on one thread.
     """
 
     __slots__ = ("name", "_registry", "_counter")
@@ -336,12 +430,12 @@ class BoundCounter:
 class BoundHistogram:
     """A histogram handle that re-binds itself to the active registry.
 
-    The phase timers (:mod:`repro.observability.timers`) observe a
-    duration on every timed phase exit; like :class:`BoundCounter` they
-    cache the underlying :class:`Histogram` and pay only an identity
-    check against the active registry per observation, re-resolving
-    whenever the registry is swapped.  A :class:`NullRegistry` (whose
-    ``histogram()`` returns a shared sink) suppresses recording.
+    Every :func:`~repro.observability.trace.span` observes its duration
+    on exit; like :class:`BoundCounter` the handle caches the underlying
+    :class:`Histogram`, re-resolving through :func:`get_registry` (and
+    its thread rule) whenever the registry is swapped.  A
+    :class:`NullRegistry` (whose ``histogram()`` returns a shared sink)
+    suppresses recording.
     """
 
     __slots__ = ("name", "_registry", "_histogram")
@@ -352,7 +446,7 @@ class BoundHistogram:
         self._histogram: Optional[Histogram] = None
 
     def observe(self, value: float) -> None:
-        registry = _registry
+        registry = get_registry()
         if registry is not self._registry:
             self._histogram = registry.histogram(self.name)
             self._registry = registry
@@ -375,3 +469,21 @@ def scoped_registry(
         yield registry
     finally:
         set_registry(previous)
+
+
+@contextmanager
+def run_registry() -> Iterator[RunRegistry]:
+    """Activate a :class:`RunRegistry` over the calling thread's registry
+    for one campaign run; until it exits, every other thread records
+    into that caller registry (:func:`get_registry`).  Like the tracer,
+    it serves one run at a time per process."""
+    global _run_thread, _run_caller
+    caller = get_registry()
+    outer = (_run_thread, _run_caller)
+    if _run_thread is None:
+        _run_thread, _run_caller = threading.get_ident(), caller
+    try:
+        with scoped_registry(RunRegistry(caller)) as registry:
+            yield registry
+    finally:
+        _run_thread, _run_caller = outer

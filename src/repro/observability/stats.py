@@ -15,8 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.tables import render_table
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.timers import TOP_LEVEL_PHASES
-from repro.observability.trace import read_trace
+from repro.observability.trace import TOP_LEVEL_PHASES, read_trace
 
 
 @dataclass
@@ -198,7 +197,7 @@ def render_phase_table(
     never counted toward coverage.
     """
     if not phases:
-        return "(no phase timings recorded; run with timers enabled)"
+        return "(no phase timings recorded)"
     rows: List[List[Any]] = []
     for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
         share = (

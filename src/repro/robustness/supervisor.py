@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Mapping, Optional
 from repro.adversaries.result import AdversaryResult, forfeit_result
 from repro.models.base import Color, NodeId, OnlineAlgorithm
 from repro.observability.metrics import get_registry
-from repro.observability.trace import TRACER
+from repro.observability.trace import span
 from repro.robustness.errors import (
     GameTimeout,
     ProtocolViolation,
@@ -215,29 +215,25 @@ class SupervisedGame:
 
     def run(self, victim: Optional[OnlineAlgorithm]) -> AdversaryResult:
         """Play against ``victim`` (None for fixed-victim games)."""
-        started = time.monotonic()
         if victim is None:
             contender: Optional[SupervisedAlgorithm] = None
         else:
             contender = SupervisedAlgorithm(victim, self.policy)
         span_fields = {"victim": victim.name if victim else "(fixed)"}
         span_fields.update(self.labels)
-        with TRACER.span("game", **span_fields) as span:
+        with span("game", **span_fields) as game:
             result = self._run_guarded(contender)
-            elapsed = time.monotonic() - started
-            span.note(
+            game.note(
                 reason=result.reason,
                 won=result.won,
                 forfeit=result.forfeit,
                 steps=contender.steps_taken if contender else None,
             )
-        result.stats.setdefault("game_seconds", round(elapsed, 6))
+        result.stats.setdefault("game_seconds", round(game.seconds, 6))
         if contender is not None:
             result.stats.setdefault("steps_taken", contender.steps_taken)
-        registry = get_registry()
-        registry.observe("game_wall_seconds", elapsed)
         if result.forfeit:
-            registry.inc("supervisor_forfeits")
+            get_registry().inc("supervisor_forfeits")
         return result
 
     def _run_guarded(

@@ -631,40 +631,35 @@ def test_backoff_delay_full_jitter_windows_and_cap():
 # ----------------------------------------------------------------------
 
 
+#: Every phase perfbench/run.py reads from a 2-worker run ledger.
+POOLED_LEDGER_PHASES = (
+    "pool-spawn", "pipe-send", "ack-wait", "ack-drain", "lease-sweep",
+    "worker:compute", "worker:pipe-send", "worker:store-fsync",
+)
+
+
 @pytest.mark.parametrize("workers", (1, 2))
-def test_run_ledger_records_phases_when_timed(tmp_path, workers):
-    from repro.observability.timers import phase_timers_enabled
+def test_run_ledger_records_phases(tmp_path, workers):
+    from repro.analysis.worker_pool import shutdown_warm_pool
 
-    assert not phase_timers_enabled()
-    run_campaign(
-        CampaignSpec(**SMALL), tmp_path / "store", workers=workers,
-        timers=True,
-    )
-    assert not phase_timers_enabled()  # restored afterwards
-
+    shutdown_warm_pool()  # a cold pool spawns, so pool-spawn is timed
+    run_campaign(CampaignSpec(**SMALL), tmp_path / "store", workers=workers)
     entry = ResultStore(tmp_path / "store").runs()[-1]
     assert entry["wall_seconds"] > 0
     phases = entry["phases"]
     assert phases and all(s >= 0 for s in phases.values())
     assert "spec-expand" in phases
+    assert "ball-extract" not in phases
     if workers > 1:
         # Pooled runs: compute and fsync happen in the workers; the
         # parent's own phases are the IPC/idle split.
-        assert "ack-wait" in phases
-        assert "worker:compute" in phases
+        for name in POOLED_LEDGER_PHASES:
+            assert name in phases, name
     else:
         # Serial runs time compute directly; fsync rides along.
         assert "compute" in phases
         assert "store-fsync" in phases
     assert 0.0 < entry["phase_coverage"]
-
-
-def test_run_ledger_omits_phases_when_untimed(tmp_path):
-    run_campaign(CampaignSpec(**SMALL), tmp_path / "store", timers=False)
-    entry = ResultStore(tmp_path / "store").runs()[-1]
-    assert entry["wall_seconds"] > 0
-    assert "phases" not in entry
-    assert "phase_coverage" not in entry
 
 
 def test_threshold_search_ledger_records_phases(tmp_path):
@@ -675,11 +670,92 @@ def test_threshold_search_ledger_records_phases(tmp_path):
         low=0,
         high=2,
     )
-    run_threshold_search(spec, tmp_path / "store", timers=True)
+    run_threshold_search(spec, tmp_path / "store")
     entry = ResultStore(tmp_path / "store").runs()[-1]
     assert entry["kind"] == "threshold"
     assert entry["wall_seconds"] > 0
-    assert entry["phases"]
+    assert {"spec-expand", "compute", "store-fsync"} <= set(entry["phases"])
+    assert 0.0 < entry["phase_coverage"]
+
+
+def test_run_functions_take_no_timing_switch(tmp_path):
+    tspec = ThresholdSearchSpec(
+        name="t", adversaries=("theorem1-grid",), victims=("greedy",),
+        low=0, high=1,
+    )
+    with pytest.raises(TypeError, match="timers"):
+        run_campaign(CampaignSpec(**SMALL), tmp_path / "a", timers=True)
+    with pytest.raises(TypeError, match="timers"):
+        run_threshold_search(tspec, tmp_path / "b", timers=True)
+
+
+def test_run_counts_itself_and_records_into_the_caller(tmp_path):
+    """Each run records into its own registry: its ledger phases and
+    live.json count that run alone, and the caller's registry still ends
+    with the totals of every run."""
+    from repro.observability.export import read_live_status
+
+    with scoped_registry() as caller:
+        for name in ("first", "second"):
+            run_campaign(
+                CampaignSpec(**SMALL), tmp_path / name, workers=2
+            )
+        totals = caller.snapshot()
+    entry = ResultStore(tmp_path / "second").runs()[-1]
+    live = read_live_status(str(tmp_path / "second"))
+    assert live["phases"]["worker:compute"] == pytest.approx(
+        entry["phases"]["worker:compute"], abs=1e-6
+    )
+    assert live["phases"]["worker:compute"] < (
+        totals["histograms"]["phase_seconds.worker:compute"]["sum"]
+    )
+    assert totals["counters"]["campaign_games_played"] == 16
+    assert totals["histograms"]["phase_seconds.worker:game"]["count"] == 16
+
+
+@pytest.mark.parametrize(
+    "workers, start_method", [(1, None), (2, None), (2, "fork")]
+)
+def test_traced_campaign_records_its_parent(
+    tmp_path, monkeypatch, workers, start_method
+):
+    """A traced run records the parent's own spans and events, not just
+    its games': one ``campaign`` span with its outcome, one ``game`` span
+    per game, and at two workers the pool's span and lifecycle.  A
+    fork-started worker drops the recorder it inherits, so no worker
+    record carries the parent's pid."""
+    from repro.analysis.worker_pool import shutdown_warm_pool
+    from repro.observability.trace import read_trace
+
+    if start_method is not None:
+        monkeypatch.setenv("REPRO_POOL_START", start_method)
+        shutdown_warm_pool()  # drop any parked forkserver fleet
+    spec = load_campaign(
+        Path(__file__).resolve().parents[2] / "examples/campaigns/smoke.json"
+    )
+    trace = tmp_path / "t.jsonl"
+    outcome = run_campaign(
+        spec, tmp_path / "store", workers=workers, trace_path=trace
+    )
+    records = read_trace(trace)
+    assert not list(tmp_path.glob("t.jsonl.shard-*"))
+
+    def spans(kind, rtype):
+        return [r for r in records if r["type"] == rtype and r["kind"] == kind]
+
+    (start,) = spans("campaign", "span-start")
+    (end,) = spans("campaign", "span-end")
+    assert start["name"] == "smoke" and end["span"] == start["span"]
+    assert (end["total"], end["played"], end["errors"]) == (8, 8, 0)
+    assert len(spans("game", "span-start")) == outcome.played == 8
+    assert len(spans("game", "span-end")) == 8
+    kinds = {r["kind"] for r in records if r["type"] == "event"}
+    if workers > 1:
+        assert len(spans("worker-pool", "span-end")) == 1
+        assert {"worker-spawned", "worker-adopted"} & kinds
+        assert os.getpid() not in {r["src"] for r in spans("game", "span-end")}
+    assert records[-1]["type"] == "metrics"
+    assert records[-1]["snapshot"]["counters"]["campaign_games_played"] == 8
 
 
 # ----------------------------------------------------------------------

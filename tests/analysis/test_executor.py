@@ -39,7 +39,7 @@ def test_play_spec_inline_matches_tournament_row():
     assert row.won
     # The game ships its exact metric delta back with the row.
     assert outcome.metrics["counters"]["reveals_total"] > 0
-    assert outcome.metrics["histograms"]["game_wall_seconds"]["count"] == 1
+    assert outcome.metrics["histograms"]["phase_seconds.game"]["count"] == 1
 
 
 def test_play_spec_fixed_victim():
@@ -103,6 +103,8 @@ def test_parallel_metrics_match_serial(tmp_path):
     assert serial_tallies["campaign_games_played"] == 16
     queries = lambda c: c.get("ball_cache_hits", 0) + c.get("ball_cache_misses", 0)  # noqa: E731
     assert queries(serial_cache) == queries(pooled_cache) > 0
-    serial_wall = serial["histograms"]["game_wall_seconds"]
-    pooled_wall = pooled["histograms"]["game_wall_seconds"]
-    assert serial_wall["count"] == pooled_wall["count"] == 16
+    # Every game is timed by its span: bare in the serial run, under the
+    # worker scope in the pooled one.
+    serial_games = serial["histograms"]["phase_seconds.game"]
+    pooled_games = pooled["histograms"]["phase_seconds.worker:game"]
+    assert serial_games["count"] == pooled_games["count"] == 16

@@ -7,6 +7,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     NullRegistry,
     get_registry,
+    run_registry,
     scoped_registry,
     set_registry,
 )
@@ -162,6 +163,18 @@ def test_set_registry_returns_previous():
         set_registry(ambient)
 
 
+def test_null_registry_merge_records_nothing():
+    null = NullRegistry()
+    null.merge({
+        "counters": {"a": 1},
+        "gauges": {"g": 2.0},
+        "histograms": {"h": {"count": 1, "sum": 3.0, "min": 3.0, "max": 3.0}},
+    })
+    assert null.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert null.gauge("g").value is None
+    assert null.histogram("h").count == 0
+
+
 def test_null_registry_records_nothing():
     null = NullRegistry()
     null.inc("a")
@@ -221,3 +234,60 @@ def test_ball_cache_counts_in_active_registry():
             "hits": 0, "misses": 0, "hit_rate": 0.0,
             "full_flushes": 0, "bucket_reattaches": 0,
         }
+
+
+def test_run_registry_counts_the_run_and_records_into_the_caller():
+    """A run's registry holds that run alone, while the caller's sees
+    every instrument as it is recorded — not only when the run ends."""
+    shard = MetricsRegistry()
+    shard.inc("played", 2)
+    shard.set("depth", 5.0)
+    shard.observe("phase_seconds.game", 0.5)
+    with scoped_registry() as caller:
+        caller.inc("played", 10)
+        with run_registry() as run:
+            assert get_registry() is run
+            run.inc("played")
+            run.set("depth", 3.0)
+            run.observe("phase_seconds.game", 0.25)
+            run.merge(shard.snapshot())
+            live = caller.snapshot()
+            own = run.snapshot()
+        assert get_registry() is caller
+    assert own["counters"] == {"played": 3}
+    assert own["gauges"] == {"depth": 5.0}
+    assert own["histograms"]["phase_seconds.game"] == {
+        "count": 2, "sum": 0.75, "min": 0.25, "max": 0.5,
+    }
+    assert live["counters"] == {"played": 13}
+    assert live["gauges"] == {"depth": 5.0}
+    assert live["histograms"] == own["histograms"]
+
+
+def test_run_registry_keeps_other_threads_out():
+    """While a run is open, every other thread records into the run's
+    caller: a server thread's store read never lands in a job's
+    phases."""
+    import threading
+
+    from repro.observability.trace import span
+
+    seen = {}
+
+    def poll():
+        seen["registry"] = get_registry()
+        with span("store-index"):
+            pass
+
+    with scoped_registry() as caller:
+        with run_registry() as run:
+            with span("store-index"):
+                pass
+            reader = threading.Thread(target=poll)
+            reader.start()
+            reader.join()
+        own = run.snapshot()["histograms"]
+        totals = caller.snapshot()["histograms"]
+    assert seen["registry"] is caller
+    assert own["phase_seconds.store-index"]["count"] == 1
+    assert totals["phase_seconds.store-index"]["count"] == 2

@@ -14,6 +14,7 @@ from repro.observability.trace import (
     JsonlTraceRecorder,
     merge_trace_shards,
     shard_path,
+    span,
     tracing,
 )
 
@@ -194,7 +195,7 @@ def test_aggregate_file_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     with scoped_registry() as registry:
         with tracing(path):
-            with TRACER.span("game", adversary="theorem1", victim="greedy"):
+            with span("game", adversary="theorem1", victim="greedy"):
                 TRACER.event("reveal", node=1)
                 registry.inc("reveals_total")
     stats = aggregate_file(path)

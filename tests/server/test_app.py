@@ -374,12 +374,105 @@ def test_stored_campaign_visible_after_offline_run(tmp_path):
     asyncio.run(scenario())
 
 
+def test_running_job_counts_live_and_alone(tmp_path, monkeypatch):
+    """While a job runs, ``/metrics`` already shows the games it has
+    finished, and the store reads of concurrent status and row polls
+    time into the server's registry but stay out of the job's ledger
+    phases."""
+    import threading
+    import time
+
+    from repro.analysis import campaign
+    from repro.observability.metrics import scoped_registry
+
+    # Akbari survives a 6x6 grid at locality 12 but not at 1, so the
+    # bisection runs several one-probe waves (12, 6, 3, 1, 2).
+    spec = {
+        "version": 1,
+        "kind": "threshold",
+        "name": "server-live",
+        "adversaries": [{
+            "name": "scattered-order",
+            "params": {"family": "grid", "rows": 6, "seed": 0, "colors": 3},
+        }],
+        "victims": ["akbari"],
+        "low": 0,
+        "high": 12,
+        "timeout": 10.0,
+    }
+    paused, resume = threading.Event(), threading.Event()
+    play = campaign.play_spec
+    games = []
+
+    def pausing_play(game):
+        games.append(game)
+        if len(games) == 2:  # the first wave is done and counted
+            paused.set()
+            resume.wait(30)
+        return play(game)
+
+    poll_seconds = 0.3
+    row_files = ResultStore.row_files
+
+    def slow_poll_reads(store):
+        # Only the polls made while the job is held read slowly.
+        if paused.is_set() and not resume.is_set():
+            time.sleep(poll_seconds)
+        return row_files(store)
+
+    monkeypatch.setattr(campaign, "play_spec", pausing_play)
+    monkeypatch.setattr(ResultStore, "row_files", slow_poll_reads)
+
+    async def metric(port, name):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        await writer.drain()
+        raw = (await reader.read()).decode()
+        writer.close()
+        await writer.wait_closed()
+        for line in raw.splitlines():
+            if line.startswith(name + " "):
+                return float(line.split()[1])
+        return 0.0
+
+    async def scenario():
+        server = ColoringServer(tmp_path / "store", port=0, rate=0)
+        await server.start()
+        try:
+            _, _, handle = await http(
+                server.port, "POST", "/v1/campaigns", submit_payload(spec)
+            )
+            held = await asyncio.get_running_loop().run_in_executor(
+                None, paused.wait, 30
+            )
+            assert held
+            played = await metric(server.port, "repro_campaign_games_played")
+            _, _, polled = await http(
+                server.port, "GET", f"/v1/campaigns/{handle['id']}"
+            )
+            await http(
+                server.port, "GET", f"/v1/campaigns/{handle['id']}/rows"
+            )
+            resume.set()
+            done = await wait_for_state(server.port, handle["id"])
+            return played, polled["state"], done
+        finally:
+            resume.set()
+            await server.stop()
+
+    with scoped_registry() as registry:
+        played, polled_state, done = asyncio.run(scenario())
+    assert (played, polled_state, done["state"]) == (1, "running", "done")
+    (run,) = ResultStore(tmp_path / "store").runs()
+    assert run["phases"]["store-index"] < poll_seconds
+    polls = registry.snapshot()["histograms"]["phase_seconds.store-index"]
+    assert polls["sum"] >= 2 * poll_seconds
+
+
 def test_handle_reports_its_own_run_when_names_repeat(tmp_path):
     """Two different sweeps share a name: each handle's wall-clock and
     phase table come from its own run-ledger entry, matched by campaign
     id, not from the newest run of the same name."""
-    from repro.observability.timers import timed_phases
-
     one_game = dict(TINY_SPEC, name="smoke", localities=[0])
     twelve_games = dict(
         TINY_SPEC,
@@ -410,14 +503,15 @@ def test_handle_reports_its_own_run_when_names_repeat(tmp_path):
         finally:
             await server.stop()
 
-    with timed_phases():
-        first, second = asyncio.run(scenario())
+    first, second = asyncio.run(scenario())
     runs = ResultStore(tmp_path / "store").runs()  # in submission order
     assert (first["total"], second["total"]) == (1, 12)
     assert runs[0]["wall_seconds"] != runs[1]["wall_seconds"]
     for handle, run in ((first, runs[0]), (second, runs[1])):
         assert handle["wall_seconds"] == run["wall_seconds"]
         assert handle["phases"] == run["phases"]
+        # Phase timing is always on: a server job's ledger carries it.
+        assert "compute" in run["phases"] and "phase_coverage" in run
     assert [run["campaign_id"] for run in runs] == [first["id"], second["id"]]
 
 

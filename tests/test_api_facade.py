@@ -107,6 +107,21 @@ def test_run_campaign_typed_form(tmp_path):
     assert (again.played, again.deduped) == (0, 1)
 
 
+def test_submit_request_accepts_and_ignores_timers(tmp_path):
+    """``timers`` predates always-on phase timing: a boolean (or None) is
+    still accepted and type-checked, and the run records its phase split
+    either way."""
+    request = api.SubmitRequest(spec=_tiny_spec(), timers=False)
+    payload = request.to_payload()
+    assert api.SubmitRequest.from_payload(payload) == request
+    with pytest.raises(api.CampaignError, match="'timers'"):
+        api.SubmitRequest.from_payload({**payload, "timers": "yes"})
+    api.run_campaign(request, tmp_path / "store")
+    entry = api.ResultStore(tmp_path / "store").runs()[-1]
+    assert "compute" in entry["phases"]
+    assert 0.0 < entry["phase_coverage"]
+
+
 def test_run_campaign_typed_form_requirements(tmp_path):
     request = api.SubmitRequest(spec=_tiny_spec())
     with pytest.raises(TypeError, match="store_dir"):

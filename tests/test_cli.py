@@ -150,19 +150,36 @@ def test_campaign_phase_table_status_watch_and_live(capsys, tmp_path, workers):
     assert "campaign finished" in capsys.readouterr().out
 
 
-def test_campaign_no_timers_skips_phase_table(capsys, tmp_path):
+def test_campaign_run_always_prints_phase_table(capsys, tmp_path):
+    """Phase timing is always on: every run and resume prints its table."""
     spec = tmp_path / "c.json"
     spec.write_text(
-        '{"kind": "sweep", "name": "untimed", '
+        '{"kind": "sweep", "name": "timed", '
         '"adversaries": ["theorem1-grid"], "victims": ["greedy"], '
         '"localities": [1]}'
     )
     store = str(tmp_path / "store")
-    code = main(
-        ["campaign", "run", str(spec), "--store", store, "--no-timers"]
-    )
-    assert code == 0
-    assert "phase attribution" not in capsys.readouterr().out
+    for command in ("run", "resume"):
+        code = main(["campaign", command, str(spec), "--store", store])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "phase attribution" in out
+        assert "spec-expand*" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "run", "s.json", "--store", "d", "--timers"],
+    ["campaign", "run", "s.json", "--store", "d", "--no-timers"],
+    ["campaign", "resume", "s.json", "--store", "d", "--no-timers"],
+    ["submit", "s.json", "--url", "http://127.0.0.1:1", "--timers"],
+])
+def test_timing_switch_flags_are_gone(capsys, argv):
+    """Phase timing has no switch: the flags are unknown arguments
+    (argparse's status 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_stats_live_without_telemetry_rejected(capsys, tmp_path):
@@ -252,16 +269,21 @@ def test_tournament_parallel_matches_serial_output(capsys, tmp_path):
 
 def test_tournament_serial_trace_reports_cache_hit_rate(capsys, tmp_path):
     """The serial path folds every game's metrics into the trace's final
-    snapshot, and a rerun replaces the trace rather than appending."""
+    snapshot, and a rerun replaces the trace rather than appending: the
+    second run's metrics count its own games, not the process's."""
+    from repro.observability.stats import aggregate
     from repro.observability.trace import read_trace
 
     trace = tmp_path / "t.jsonl"
     for _ in range(2):
         code = main(["tournament", "--locality", "1", "--trace", str(trace)])
         assert code == 0
-    games = [r for r in read_trace(trace)
+    records = read_trace(trace)
+    games = [r for r in records
              if r["type"] == "span-start" and r.get("kind") == "game"]
     assert len(games) == 16
+    folded = aggregate(records).metrics
+    assert folded.counter("campaign_games_played").value == 16
     capsys.readouterr()
     code = main(["stats", str(trace)])
     assert code == 0
@@ -294,7 +316,7 @@ def test_campaign_retries_zero_plays_a_failing_game_once(capsys, tmp_path):
     try:
         code = main([
             "campaign", "run", str(spec), "--store", str(tmp_path / "s"),
-            "--retries", "0", "--no-timers",
+            "--retries", "0",
         ])
     finally:
         ADVERSARIES.unregister("test-always-raises")
